@@ -7,6 +7,13 @@ The vertex search is exhaustive over a pool of M i.i.d. draws from the target,
 with the running correlation sum_i w_i kappa(x_i, .) maintained incrementally
 so a full run costs O(NM) kernel evaluations (O(N^2 M) for the corrective
 variant).
+
+Beyond the pool and the n x n Gram matrix, FW and FW-LS keep O(M) floats:
+they fold each new atom's kernel column into the running correlation and drop
+it. The fully corrective variant re-weights every atom after each step, so it
+keeps every chosen atom's column in one n x M buffer allocated up front (8nM
+bytes: 32 MB at n=200, M=20000) and rebuilds the correlation with one
+vector-matrix product.
 """
 
 from __future__ import annotations
@@ -59,10 +66,16 @@ class QuadratureState:
     Holds the search pool with precomputed mean-map values and the current
     iterate g_k = sum_i w_i Phi(x_i) in expanded form (chosen pool indices,
     weights, their Gram matrix). The empty state represents g_0 = 0.
+
+    With col_capacity > 0 the state also keeps the kernel column
+    kappa(x_i, pool) of each chosen atom as row i of `cols`, a row-major
+    (col_capacity, M) buffer allocated once; the fully corrective step needs
+    it, and col_capacity bounds the atom count. With the default 0, `cols` is
+    None and no column outlives the step that uses it.
     """
 
     def __init__(self, target: GaussianMixture, kernel: KernelConfig, pool,
-                 pool_components=None):
+                 pool_components=None, col_capacity: int = 0):
         if target.dim != kernel.dim:
             raise ValueError("target and kernel dimensions disagree")
         self.target = target
@@ -84,7 +97,7 @@ class QuadratureState:
         self.weights = np.zeros(0)
         self.gram = np.zeros((0, 0))
         self.mu_sel = np.zeros(0)
-        self.pool_cols: list[np.ndarray] = []  # kappa(., pool) per chosen atom
+        self.cols = np.empty((col_capacity, m)) if col_capacity > 0 else None
         self.gg = 0.0   # <g, g>
         self.gmu = 0.0  # <g, mu_p>
 
@@ -127,7 +140,8 @@ class QuadratureState:
         self.idxs.append(int(idx))
         self.mu_sel = np.append(self.mu_sel, self.pool_mu[idx])
         self.weights = np.append(self.weights, 0.0)
-        self.pool_cols.append(col)
+        if self.cols is not None:
+            self.cols[n] = col
 
 
 def fw_vertex_search(state: QuadratureState) -> int:
@@ -149,10 +163,18 @@ def line_search_gamma(state: QuadratureState, vertex) -> float:
     sel = np.asarray(state.idxs, dtype=np.intp)
     cross_v = float(state.weights @ kernel_cross(state.pool[sel], v, state.kernel)[:, 0])
     mu_v = mean_map_eval(state.target, v, state.kernel)
-    denom = state.gg - 2.0 * cross_v + 1.0
+    return _line_search_step(state.gg, state.gmu, cross_v, mu_v)
+
+
+def _line_search_step(gg: float, gmu: float, cross_v: float, mu_v: float) -> float:
+    """Clipped minimizer of J((1 - t) g + t Phi(v)) over t in [0, 1].
+
+    Takes <g, g>, <g, mu_p>, g(v) and mu_p(v); kappa(v, v) = 1.
+    """
+    denom = gg - 2.0 * cross_v + 1.0
     if denom < _DENOM_FLOOR:
         return 0.0
-    num = state.gg - cross_v - state.gmu + mu_v
+    num = gg - cross_v - gmu + mu_v
     return float(min(max(num / denom, 0.0), 1.0))
 
 
@@ -343,6 +365,8 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
         col = kernel_cross(state.pool, state.pool[idx][None, :], state.kernel)[:, 0]
 
     if variant is FwVariant.FCFW:
+        if state.cols is None:
+            raise ValueError("FCFW needs a state built with col_capacity > 0")
         if not known:
             state._append_atom(idx, col)
         qp = SimplexQp(state.gram, state.mu_sel, validate_psd=False)
@@ -361,8 +385,7 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
             f_new = f_old
         no_progress = known and f_new >= f_old - 1e-15
         state.weights = w_new
-        cols = np.stack(state.pool_cols, axis=1)
-        state.pool_cross = cols @ state.weights
+        state.pool_cross = state.weights @ state.cols[:state.n_chosen]
         state._refresh_inner_products()
         return not no_progress
 
@@ -371,12 +394,9 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
     elif variant is FwVariant.FW:
         gamma = 1.0 / (state.n_chosen + 1)
     else:
-        cross_v = state.pool_cross[idx]
-        mu_v = state.pool_mu[idx]
-        denom = state.gg - 2.0 * cross_v + 1.0
-        if denom < _DENOM_FLOOR:
-            return False
-        gamma = min(max((state.gg - cross_v - state.gmu + mu_v) / denom, 0.0), 1.0)
+        gamma = _line_search_step(
+            state.gg, state.gmu, state.pool_cross[idx], state.pool_mu[idx]
+        )
         if gamma == 0.0:
             return False
 
@@ -440,7 +460,11 @@ def fw_quad(
         m = pool.shape[0]
     if m < n:
         raise ValueError(f"pool size {m} smaller than particle budget {n}")
-    state = QuadratureState(p, k, pool, pool_components=comps)
+    # FCFW appends at most one atom per iteration, so n rows always suffice
+    state = QuadratureState(
+        p, k, pool, pool_components=comps,
+        col_capacity=n if variant is FwVariant.FCFW else 0,
+    )
     for _ in range(n):
         progressed = _advance(state, variant)
         if objective_trace is not None:

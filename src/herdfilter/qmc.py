@@ -1,9 +1,10 @@
 """Sobol low-discrepancy sequences and the inverse-transform mixture sampler.
 
 The generator is the classic Gray-code construction over 32-bit direction
-integers. Direction numbers are the published Joe and Kuo "new-joe-kuo-6"
-values, embedded below for dimensions up to 21; dimension 1 is the van der
-Corput sequence in base 2. Randomization is done by starting the sequence at
+integers, evaluated in closed form at every requested position at once.
+Direction numbers are the published Joe and Kuo "new-joe-kuo-6" values,
+embedded below for dimensions up to 21; dimension 1 is the van der Corput
+sequence in base 2. Randomization is done by starting the sequence at
 a random integer offset, never by scrambling, so a run consumes one
 continuing stream.
 """
@@ -91,11 +92,6 @@ class SobolStream:
         self.offset = offset
         self._v = _direction_integers(dim)
         self._pos = offset  # sequence position of the next emitted point
-        self._state = np.zeros(dim, dtype=np.uint64)
-        gray = offset ^ (offset >> 1)
-        for k in range(_BITS):
-            if (gray >> k) & 1:
-                self._state ^= self._v[:, k]
 
     @property
     def index(self) -> int:
@@ -110,17 +106,16 @@ class SobolStream:
             raise NumericalError(
                 f"Sobol index overflow: position {self._pos + n} exceeds 2^{_BITS}"
             )
-        out = np.empty((n, self.dim))
-        state = self._state
-        pos = self._pos
-        for i in range(n):
-            out[i] = state
-            pos += 1
-            if pos < _MAX_INDEX:
-                # lowest set bit of pos flips exactly one direction integer
-                state = state ^ self._v[:, (pos & -pos).bit_length() - 1]
-        self._state = state
-        self._pos = pos
+        # the point at position p XORs the direction integers over the set
+        # bits of its Gray code p ^ (p >> 1)
+        pos = np.arange(self._pos, self._pos + n, dtype=np.uint64)
+        gray = pos ^ (pos >> np.uint64(1))
+        ints = np.zeros((n, self.dim), dtype=np.uint64)
+        for k in range(_BITS):
+            bit = (gray >> np.uint64(k)) & np.uint64(1)
+            ints ^= bit[:, None] * self._v[:, k]
+        self._pos += n
+        out = ints.astype(float)
         out /= float(_MAX_INDEX)
         return out
 

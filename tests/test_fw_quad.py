@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,62 @@ class TestLineSearch:
         state = QuadratureState(std_normal_1d(), UNIT_1D, np.array([[0.0]]))
         with pytest.raises(ValueError):
             line_search_gamma(state, np.array([0.5]))
+
+
+class TestColumnBuffer:
+    def run_fcfw_checked(self, p, k, pool, iters):
+        """FCFW steps, checking the running correlation after each one."""
+        state = QuadratureState(p, k, pool, col_capacity=iters)
+        known_steps = 0
+        for _ in range(iters):
+            before = state.n_chosen
+            known = fw_vertex_search(state) in state.idxs
+            _advance(state, FwVariant.FCFW)
+            assert state.n_chosen == before + (0 if known else 1)
+            known_steps += known
+            sel = state.pool[np.asarray(state.idxs)]
+            expected = kernel_cross(state.pool, sel, k) @ state.weights
+            np.testing.assert_allclose(state.pool_cross, expected, rtol=0, atol=1e-12)
+        return state, known_steps
+
+    def test_fcfw_pool_cross_matches_recomputation(self):
+        rng = np.random.default_rng(24)
+        p = random_mixture(rng)
+        k = KernelConfig(0.8, 2)
+        pool, _ = p.sample(200, rng)
+        state, _ = self.run_fcfw_checked(p, k, pool, iters=15)
+        assert state.cols.shape == (15, 200)
+
+    def test_fcfw_known_vertex_appends_no_row(self):
+        # five pool points and eight steps: the search must return a chosen atom
+        p = std_normal_1d()
+        pool = np.linspace(-2.0, 2.0, 5)[:, None]
+        _, known_steps = self.run_fcfw_checked(p, UNIT_1D, pool, iters=8)
+        assert known_steps >= 3
+
+    def test_only_fcfw_allocates_columns(self, monkeypatch):
+        # the package binds herdfilter.fw_quad to the function, not the module
+        fwq = sys.modules["herdfilter.fw_quad"]
+        states = []
+
+        class Recording(QuadratureState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        monkeypatch.setattr(fwq, "QuadratureState", Recording)
+        p = std_normal_1d()
+        for variant in (FwVariant.FW, FwVariant.FW_LS, FwVariant.FCFW):
+            fw_quad(p, UNIT_1D, 6, 300, variant, rng_seed=3)
+        fw_state, ls_state, fc_state = states
+        assert fw_state.cols is None
+        assert ls_state.cols is None
+        assert fc_state.cols.shape == (6, 300)
+
+    def test_fcfw_without_buffer_rejected(self):
+        state = QuadratureState(std_normal_1d(), UNIT_1D, np.linspace(-1, 1, 5)[:, None])
+        with pytest.raises(ValueError):
+            _advance(state, FwVariant.FCFW)
 
 
 class TestSimplexQp:

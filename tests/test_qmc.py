@@ -7,6 +7,7 @@ from herdfilter import GaussianMixture, KernelConfig, NumericalError, mmd
 from herdfilter.qmc import (
     MAX_DIM,
     SobolStream,
+    _direction_integers,
     inverse_normal_cdf,
     qmc_sample_mixture,
     sobol_next,
@@ -38,6 +39,40 @@ class TestSobolStream:
             for j in range(d):
                 bins = np.floor(pts[:, j] * 64).astype(int)
                 assert sorted(bins) == list(range(64))
+
+    @staticmethod
+    def gray_code_recurrence(dim, offset, n):
+        """Points by the one-flip-per-step Gray-code recurrence."""
+        v = _direction_integers(dim)
+        state = np.zeros(dim, dtype=np.uint64)
+        gray = offset ^ (offset >> 1)
+        for k in range(32):
+            if (gray >> k) & 1:
+                state ^= v[:, k]
+        out = np.empty((n, dim))
+        pos = offset
+        for i in range(n):
+            out[i] = state
+            pos += 1
+            if pos < 1 << 32:
+                state = state ^ v[:, (pos & -pos).bit_length() - 1]
+        return out / float(1 << 32)
+
+    def test_matches_gray_code_recurrence(self):
+        for d in (1, 3, 7):
+            for offset in (0, 1, 12345, (1 << 31) + 7, (1 << 32) - 40):
+                n = min(300, (1 << 32) - offset)
+                np.testing.assert_array_equal(
+                    SobolStream(d, offset=offset).take(n),
+                    self.gray_code_recurrence(d, offset, n),
+                )
+
+    def test_split_takes_continue_the_stream(self):
+        for offset in (1, 12345, (1 << 32) - 12):
+            s = SobolStream(3, offset=offset)
+            parts = np.concatenate([s.take(5), s.take(7)])
+            whole = SobolStream(3, offset=offset).take(12)
+            np.testing.assert_array_equal(parts, whole)
 
     def test_index_counter(self):
         s = SobolStream(2, offset=5)
