@@ -6,7 +6,7 @@ class NumericalError(RuntimeError):
 
 
 class DegenerateFilterError(NumericalError):
-    """All particle weights collapsed to numerical zero at some timestep."""
+    """Every particle has zero weight (log weight -inf) at some timestep."""
 
     def __init__(self, t: int, total: float):
         self.t = t

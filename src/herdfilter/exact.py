@@ -53,29 +53,35 @@ class GaussianBelief:
 
 
 def _symmetrize(cov: np.ndarray) -> np.ndarray:
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def _gauss_update(mean, cov, c, r, y):
-    """Measurement update; returns (mean, cov, log-likelihood increment).
+    """Measurement update of a batch of Gaussian beliefs.
 
-    Joseph form keeps the posterior covariance symmetric PSD regardless of
+    mean (..., d) and cov (..., d, d) may carry leading batch axes, one per
+    particle or branch; c (..., m, d), r (..., m, m) and y (..., m) broadcast
+    against them. Returns the posterior means and covariances and the
+    log-likelihood increments, shape (...).
+    Joseph form keeps each posterior covariance symmetric PSD regardless of
     gain round-off. A non-positive-definite innovation covariance raises.
     """
-    innov = np.asarray(y, dtype=float) - c @ mean
-    s = _symmetrize(c @ cov @ c.T + r)
+    ct = np.swapaxes(c, -1, -2)
+    innov = np.asarray(y, dtype=float) - (c @ mean[..., None])[..., 0]
+    s = _symmetrize(c @ cov @ ct + r)
     try:
         s_chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance not positive definite") from exc
-    gain = cov @ c.T @ np.linalg.inv(s)
-    post_mean = mean + gain @ innov
-    ikc = np.eye(cov.shape[0]) - gain @ c
-    post_cov = _symmetrize(ikc @ cov @ ikc.T + gain @ r @ gain.T)
-    z = np.linalg.solve(s_chol, innov)
-    log_inc = float(
-        -0.5 * (innov.size * np.log(2.0 * np.pi) + z @ z)
-        - np.sum(np.log(np.diag(s_chol)))
+    gain = cov @ ct @ np.linalg.inv(s)
+    post_mean = mean + (gain @ innov[..., None])[..., 0]
+    ikc = np.eye(cov.shape[-1]) - gain @ c
+    post_cov = _symmetrize(
+        ikc @ cov @ np.swapaxes(ikc, -1, -2) + gain @ r @ np.swapaxes(gain, -1, -2)
+    )
+    z = np.linalg.solve(s_chol, innov[..., None])[..., 0]
+    log_inc = -0.5 * (innov.shape[-1] * np.log(2.0 * np.pi) + np.sum(z * z, axis=-1)) - (
+        np.sum(np.log(np.diagonal(s_chol, axis1=-2, axis2=-1)), axis=-1)
     )
     return post_mean, post_cov, log_inc
 
@@ -84,8 +90,10 @@ def kalman_update(belief: GaussianBelief, params: LgssParams, y) -> GaussianBeli
     """Measurement-only update of the belief with one observation."""
     c = np.asarray(params.obs_mat, dtype=float)
     r = np.asarray(params.obs_cov, dtype=float)
-    mean, cov, inc = _gauss_update(belief.mean, belief.cov, c, r, y)
-    return GaussianBelief(mean, cov, belief.log_evidence + inc)
+    mean, cov, inc = _gauss_update(
+        np.asarray(belief.mean, dtype=float), np.asarray(belief.cov, dtype=float), c, r, y
+    )
+    return GaussianBelief(mean, cov, belief.log_evidence + float(inc))
 
 
 def kalman_step(belief: GaussianBelief, params: LgssParams, y) -> GaussianBelief:
@@ -195,39 +203,32 @@ def jmls_exact_filter(params: JmlsParams, y_seq) -> JmlsExactResult:
     filt_covs = np.empty((T, d, d))
     log_ev = np.empty(T)
 
-    branches: list[JmlsBranch] = []
-    with np.errstate(divide="ignore"):
-        for k in range(n_modes):
-            mean, cov, inc = _gauss_update(
-                np.asarray(params.init_mean, dtype=float),
-                np.asarray(params.init_cov, dtype=float),
-                c[k], obs_covs[k], y_seq[0],
-            )
-            branches.append(
-                JmlsBranch(float(log_init[k]) + inc, GaussianBelief(mean, cov), (k,))
-            )
+    # one row per mode history; branch b at time t spawns rows
+    # b * n_modes + k at time t + 1, one for each next mode k
+    means, covs, lw = _gauss_update(
+        np.asarray(params.init_mean, dtype=float),
+        np.asarray(params.init_cov, dtype=float),
+        c, obs_covs, y_seq[0],
+    )
+    lw = lw + log_init
+    hist = np.arange(n_modes)[:, None]
     for t in range(T):
         if t > 0:
-            nxt: list[JmlsBranch] = []
-            for br in branches:
-                k = br.history[-1]
-                for nl in range(n_modes):
-                    pm = a[nl] @ br.belief.mean
-                    pc = _symmetrize(a[nl] @ br.belief.cov @ a[nl].T + proc_covs[nl])
-                    mean, cov, inc = _gauss_update(pm, pc, c[nl], obs_covs[nl], y_seq[t])
-                    nxt.append(
-                        JmlsBranch(
-                            br.log_weight + float(log_pi[k, nl]) + inc,
-                            GaussianBelief(mean, cov),
-                            br.history + (nl,),
-                        )
-                    )
-            branches = nxt
-        lw = np.array([br.log_weight for br in branches])
-        means = np.stack([br.belief.mean for br in branches])
-        covs = np.stack([br.belief.cov for br in branches])
+            pm = (a @ means[:, None, :, None])[..., 0]  # (B, modes, d)
+            pc = _symmetrize(a @ covs[:, None] @ np.swapaxes(a, -1, -2) + proc_covs)
+            m, cv, inc = _gauss_update(pm, pc, c, obs_covs, y_seq[t])
+            lw = (lw[:, None] + log_pi[hist[:, -1]] + inc).reshape(-1)
+            means, covs = m.reshape(-1, d), cv.reshape(-1, d, d)
+            hist = np.hstack([
+                np.repeat(hist, n_modes, axis=0),
+                np.tile(np.arange(n_modes), hist.shape[0])[:, None],
+            ])
         filt_means[t], filt_covs[t] = _mixture_moments(lw, means, covs)
         log_ev[t] = logsumexp(lw)
+    branches = [
+        JmlsBranch(float(w), GaussianBelief(mu, cv), tuple(int(k) for k in h))
+        for w, mu, cv, h in zip(lw, means, covs, hist)
+    ]
     return JmlsExactResult(filt_means, filt_covs, log_ev, branches)
 
 
@@ -288,14 +289,18 @@ def grid_filter(model: StateSpaceModel, y_seq, grid) -> GridFilterResult:
                 kern = np.exp(-0.5 * (xs[:, None] - drift[None, :]) ** 2 / var)
                 kern /= np.sqrt(2.0 * np.pi * var)
                 density = kern @ mass
-        with np.errstate(over="ignore"):
-            lik = np.exp(model.log_likelihood_batch(xs[:, None], y_seq[t - 1], t))
-        unnorm = density * lik
+        log_lik = model.log_likelihood_batch(xs[:, None], y_seq[t - 1], t)
+        top = float(np.max(log_lik))
+        if not np.isfinite(top):
+            raise NumericalError(f"grid filter lost all mass at t={t}")
+        # shifted by the largest log-likelihood so a sharp observation
+        # cannot underflow every node; the shift returns in the evidence
+        unnorm = density * np.exp(log_lik - top)
         z = float(unnorm @ trap_w)
         if not (np.isfinite(z) and z > 0.0):
             raise NumericalError(f"grid filter lost all mass at t={t}")
         density = unnorm / z
-        total += np.log(z)
+        total += np.log(z) + top
         densities[t - 1] = density
         means[t - 1] = float((xs * density) @ trap_w)
         log_ev[t - 1] = total

@@ -6,8 +6,10 @@ expand the posterior through the model dynamics into a Gaussian transition
 mixture, then hand that mixture to the configured sampler to produce the next
 predictive set. Plain Monte Carlo (multinomial or stratified component
 choice), quasi-Monte Carlo, and kernel-herding quadrature all plug into the
-same slot. A Rao-Blackwellized variant runs the template on the nonlinear
-coordinate only and carries per-particle Kalman beliefs for the linear block.
+same slot. A Rao-Blackwellized variant runs the same template on the
+nonlinear coordinate only and carries per-particle Kalman beliefs for the
+linear block. Weights and evidence are carried in log space, so a sharp but
+consistent observation does not look like filter collapse.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import DegenerateFilterError, NumericalError
 from .exact import _as_obs_seq, _gauss_update
 from .fw_quad import FwVariant, fw_quad
 from .kernels import GaussianMixture, KernelConfig, WeightedParticleSet
-from .models import ClgssParams, StateSpaceModel
+from .models import ClgssParams, StateSpaceModel, TransitionParts
 from .qmc import SobolStream, qmc_sample_mixture
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "run_rbpf",
 ]
 
-_DEGENERATE_FLOOR = 1e-300
 _SAMPLER_NAMES = ("mc_multinomial", "mc_stratified", "qmc_sobol", "skh")
 
 
@@ -92,16 +93,21 @@ class TransitionMixture:
     mixture has K = N * C components (C transition components per source
     particle); ancestors[j] is the source particle of component j and
     new_modes[j] the discrete mode it lands in, for switching models. The
-    posterior over the source particles and the unnormalized weight sum
-    (the evidence increment estimate) ride along; both are None for the
-    pseudo-mixture representing the initial distribution.
+    posterior over the source particles and the log of the unnormalized
+    weight sum (the log evidence increment estimate) ride along; both are
+    None for the pseudo-mixture representing the initial distribution.
     """
 
     mixture: GaussianMixture
     ancestors: np.ndarray
     new_modes: np.ndarray | None = None
     posterior: WeightedParticleSet | None = None
-    w_hat: float | None = None
+    log_w_hat: float | None = None
+
+    @property
+    def w_hat(self) -> float | None:
+        """The unnormalized weight sum sum_i w_i o_t(x_i)."""
+        return None if self.log_w_hat is None else float(np.exp(self.log_w_hat))
 
     def __post_init__(self):
         k = self.mixture.n_components
@@ -123,25 +129,42 @@ def build_transition_mixture(
 ) -> TransitionMixture:
     """Reweight the particles by the observation and expand the dynamics.
 
-    Computes the likelihood o_t at each particle, the pre-normalization
-    weight sum sum_i w_i o_t(x_i) (the per-step evidence estimate), the
+    Computes the likelihood o_t at each particle, the log of the
+    pre-normalization weight sum sum_i w_i o_t(x_i) (the per-step log
+    evidence estimate), the
     posterior particle set, and the mixture over the next state whose
     component weights are the normalized products of posterior weight and
     per-particle transition weight.
     """
     pts = particles.points
     log_o = model.log_likelihood_batch(pts, y, t, modes=particles.modes)
-    unnorm = particles.weights * np.exp(log_o)
+    parts = model.transition_parts(pts, t, modes=particles.modes)
+    return _expand(particles, log_o, parts, t)
+
+
+def _expand(
+    particles: WeightedParticleSet, log_o, parts: TransitionParts, t: int
+) -> TransitionMixture:
+    """Weigh the particles by their log-likelihoods and expand the transition.
+
+    The log weights log w_i + log o_t(x_i) are normalized by log-sum-exp, so
+    likelihoods far below the float range still give a posterior. Raises
+    DegenerateFilterError when every log weight is -inf and NumericalError
+    on NaN or +inf.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = np.log(particles.weights) + log_o
+    top = float(np.max(log_w))
+    if np.isnan(top) or top == np.inf:
+        raise NumericalError(f"non-finite log weight at t={t}")
+    if top == -np.inf:
+        raise DegenerateFilterError(t, 0.0)
+    unnorm = np.exp(log_w - top)
     total = float(unnorm.sum())
-    if not np.isfinite(total):
-        raise NumericalError(f"non-finite likelihood weight sum at t={t}")
-    if total < _DEGENERATE_FLOOR:
-        raise DegenerateFilterError(t, total)
     post_w = unnorm / total
     posterior = WeightedParticleSet(
-        pts, post_w, ancestry=particles.ancestry, modes=particles.modes
+        particles.points, post_w, ancestry=particles.ancestry, modes=particles.modes
     )
-    parts = model.transition_parts(pts, t, modes=particles.modes)
     n, c = parts.comp_weights.shape
     mix = GaussianMixture(
         (post_w[:, None] * parts.comp_weights).reshape(-1),
@@ -154,7 +177,7 @@ def build_transition_mixture(
         ancestors=np.repeat(np.arange(n), c),
         new_modes=None if parts.new_modes is None else np.tile(parts.new_modes, n),
         posterior=posterior,
-        w_hat=total,
+        log_w_hat=top + float(np.log(total)),
     )
 
 
@@ -247,7 +270,8 @@ def pf_step(
 class FilterTrace:
     """Per-timestep record of one filter run.
 
-    log_evidence is cumulative (the running sum of log w_hat); fw_errors
+    log_evidence is the running sum of the per-step log evidence
+    increments and w_hats their exp, which may underflow to 0; fw_errors
     and effective_n describe the sampling step that produced each
     predictive set. The particle sets are kept only when the run was asked
     to retain them.
@@ -297,6 +321,50 @@ class FilterTrace:
             )
 
 
+def _run(step, init: TransitionMixture, y, sampler, n, k, seed, keep_particles):
+    """The filter template shared by run_filter and run_rbpf.
+
+    step(p_hat, t, y_t) folds y_t into the predictive set p_hat and returns
+    the transition mixture the next predictive set is drawn from, carrying
+    the posterior and the log evidence increment; init is the mixture for
+    t=1.
+    """
+    T = y.shape[0]
+    dim = init.mixture.dim
+    stream = SobolStream(dim + 1) if sampler.name == "qmc_sobol" else None
+    filtered_means = np.empty((T, dim))
+    log_incs = np.empty(T)
+    fw_errors = np.zeros(T)
+    effective_n = np.empty(T, dtype=np.intp)
+    predictive: list | None = [] if keep_particles else None
+    posterior: list | None = [] if keep_particles else None
+
+    p_hat, fw_err = pf_step(sampler, init, n, k, [seed, 1], stream)
+    for t in range(1, T + 1):
+        tm = step(p_hat, t, y[t - 1])
+        log_incs[t - 1] = tm.log_w_hat
+        fw_errors[t - 1] = fw_err
+        effective_n[t - 1] = p_hat.n
+        filtered_means[t - 1] = tm.posterior.mean()
+        if keep_particles:
+            predictive.append(p_hat)
+            posterior.append(tm.posterior)
+        if t < T:
+            p_hat, fw_err = pf_step(sampler, tm, n, k, [seed, t + 1], stream)
+    return FilterTrace(
+        method=sampler.label,
+        n=n,
+        seed=seed,
+        filtered_means=filtered_means,
+        w_hats=np.exp(log_incs),
+        log_evidence=np.cumsum(log_incs),
+        fw_errors=fw_errors,
+        effective_n=effective_n,
+        predictive=predictive,
+        posterior=posterior,
+    )
+
+
 def run_filter(
     model: StateSpaceModel,
     y_seq,
@@ -319,44 +387,11 @@ def run_filter(
         raise ValueError(f"observations have width {y.shape[1]}, model emits {model.dim_y}")
     if k.dim != model.dim_x:
         raise ValueError("kernel dimension must match the state dimension")
-    T = y.shape[0]
-    stream = SobolStream(model.dim_x + 1) if sampler.name == "qmc_sobol" else None
 
-    filtered_means = np.empty((T, model.dim_x))
-    w_hats = np.empty(T)
-    log_evidence = np.empty(T)
-    fw_errors = np.zeros(T)
-    effective_n = np.empty(T, dtype=np.intp)
-    predictive: list | None = [] if keep_particles else None
-    posterior: list | None = [] if keep_particles else None
+    def step(p_hat, t, y_t):
+        return build_transition_mixture(p_hat, model, t, y_t)
 
-    p_hat, fw_err = pf_step(sampler, _initial_mixture(model), n, k, [seed, 1], stream)
-    log_z = 0.0
-    for t in range(1, T + 1):
-        tm = build_transition_mixture(p_hat, model, t, y[t - 1])
-        log_z += np.log(tm.w_hat)
-        w_hats[t - 1] = tm.w_hat
-        log_evidence[t - 1] = log_z
-        fw_errors[t - 1] = fw_err
-        effective_n[t - 1] = p_hat.n
-        filtered_means[t - 1] = tm.posterior.mean()
-        if keep_particles:
-            predictive.append(p_hat)
-            posterior.append(tm.posterior)
-        if t < T:
-            p_hat, fw_err = pf_step(sampler, tm, n, k, [seed, t + 1], stream)
-    return FilterTrace(
-        method=sampler.label,
-        n=n,
-        seed=seed,
-        filtered_means=filtered_means,
-        w_hats=w_hats,
-        log_evidence=log_evidence,
-        fw_errors=fw_errors,
-        effective_n=effective_n,
-        predictive=predictive,
-        posterior=posterior,
-    )
+    return _run(step, _initial_mixture(model), y, sampler, n, k, seed, keep_particles)
 
 
 @dataclass
@@ -385,107 +420,49 @@ def run_rbpf(
 
     Particles live on the scalar nonlinear coordinate only (the kernel
     therefore sees a 1-d space); every particle carries a Gaussian belief
-    over the linear substate, advanced by a Kalman measurement update when
-    the observation arrives and a time update through the matrices
-    evaluated at the ancestor's coordinate.
+    over the linear substate. The filter template weighs a particle by the
+    Kalman marginal of y_t under its belief; the belief then takes the
+    Kalman measurement update, and the time update through the matrices at
+    the particle's coordinate passes it to the particle's descendants.
     """
     y = _as_obs_seq(y_seq)
     if y.shape[1] != 1:
         raise ValueError("conditionally linear models emit scalar observations")
     if k.dim != 1:
         raise ValueError("the herding kernel sees the nonlinear coordinate only")
-    T = y.shape[0]
-    stream = SobolStream(2) if sampler.name == "qmc_sobol" else None
-    dz = params.dim_z
     r = np.array([[params.obs_var]])
     q = np.asarray(params.lin_process_cov, dtype=float)
-
-    init = TransitionMixture(
-        GaussianMixture(
-            [1.0], [[params.init_x_mean]], [[[params.init_x_var]]]
-        ),
-        np.zeros(1, dtype=np.intp),
-    )
-    p_hat, fw_err = pf_step(sampler, init, n, k, [seed, 1], stream)
-    z_means = np.tile(np.asarray(params.init_z_mean, dtype=float), (p_hat.n, 1))
-    z_covs = np.tile(np.asarray(params.init_z_cov, dtype=float), (p_hat.n, 1, 1))
-
-    filtered_means = np.empty((T, 1))
-    w_hats = np.empty(T)
-    log_evidence = np.empty(T)
-    fw_errors = np.zeros(T)
-    effective_n = np.empty(T, dtype=np.intp)
-    predictive: list | None = [] if keep_particles else None
-    posterior: list | None = [] if keep_particles else None
+    drift_cov = np.array([[[params.drift_var]]])
+    one_block = np.zeros(1, dtype=np.intp)
+    # z-beliefs, time-updated, of the particles the next predictive set
+    # descends from; p_hat.ancestry indexes them
+    z_means = np.asarray(params.init_z_mean, dtype=float)[None]
+    z_covs = np.asarray(params.init_z_cov, dtype=float)[None]
     z_posteriors: list[GaussianMixture] = []
 
-    log_z = 0.0
-    for t in range(1, T + 1):
-        m = p_hat.n
+    def step(p_hat, t, y_t):
+        nonlocal z_means, z_covs
         xs = p_hat.points[:, 0]
-        upd_means = np.empty((m, dz))
-        upd_covs = np.empty((m, dz, dz))
-        log_o = np.empty(m)
-        for i in range(m):
-            c_i = np.asarray(params.lin_obs(xs[i]), dtype=float)
-            y_adj = y[t - 1] - params.obs_offset(xs[i])
-            upd_means[i], upd_covs[i], log_o[i] = _gauss_update(
-                z_means[i], z_covs[i], c_i, r, y_adj
-            )
-        unnorm = p_hat.weights * np.exp(log_o)
-        total = float(unnorm.sum())
-        if not np.isfinite(total):
-            raise NumericalError(f"non-finite likelihood weight sum at t={t}")
-        if total < _DEGENERATE_FLOOR:
-            raise DegenerateFilterError(t, total)
-        post_w = unnorm / total
-        post_set = WeightedParticleSet(p_hat.points, post_w, ancestry=p_hat.ancestry)
-
-        log_z += np.log(total)
-        w_hats[t - 1] = total
-        log_evidence[t - 1] = log_z
-        fw_errors[t - 1] = fw_err
-        effective_n[t - 1] = m
-        filtered_means[t - 1, 0] = post_w @ xs
+        m = xs.shape[0]
+        means, covs, log_o = _gauss_update(
+            z_means[p_hat.ancestry], z_covs[p_hat.ancestry],
+            params.lin_obs(xs), r, (y_t - params.obs_offset(xs))[:, None],
+        )
+        drift = TransitionParts(
+            np.ones((m, 1)), params.drift(xs, t)[:, None, None], drift_cov, one_block
+        )
+        tm = _expand(p_hat, log_o, drift, t)
         z_posteriors.append(
-            GaussianMixture(post_w, upd_means, upd_covs, np.arange(m))
+            GaussianMixture(tm.posterior.weights, means, covs, np.arange(m))
         )
-        if keep_particles:
-            predictive.append(p_hat)
-            posterior.append(post_set)
-        if t == T:
-            break
+        a = params.lin_trans(xs)
+        z_means = (a @ means[:, :, None])[:, :, 0]
+        z_covs = a @ covs @ np.swapaxes(a, 1, 2) + q
+        return tm
 
-        drift_means = np.array([params.drift(x, t) for x in xs], dtype=float)
-        tm = TransitionMixture(
-            GaussianMixture(
-                post_w,
-                drift_means[:, None],
-                np.array([[[params.drift_var]]]),
-                np.zeros(m, dtype=np.intp),
-            ),
-            ancestors=np.arange(m),
-            posterior=post_set,
-            w_hat=total,
-        )
-        p_hat, fw_err = pf_step(sampler, tm, n, k, [seed, t + 1], stream)
-        anc = p_hat.ancestry
-        z_means = np.empty((p_hat.n, dz))
-        z_covs = np.empty((p_hat.n, dz, dz))
-        for j in range(p_hat.n):
-            a_j = np.asarray(params.lin_trans(xs[anc[j]]), dtype=float)
-            z_means[j] = a_j @ upd_means[anc[j]]
-            z_covs[j] = a_j @ upd_covs[anc[j]] @ a_j.T + q
-    trace = FilterTrace(
-        method=sampler.label,
-        n=n,
-        seed=seed,
-        filtered_means=filtered_means,
-        w_hats=w_hats,
-        log_evidence=log_evidence,
-        fw_errors=fw_errors,
-        effective_n=effective_n,
-        predictive=predictive,
-        posterior=posterior,
+    init = TransitionMixture(
+        GaussianMixture([1.0], [[params.init_x_mean]], [[[params.init_x_var]]]),
+        np.zeros(1, dtype=np.intp),
     )
+    trace = _run(step, init, y, sampler, n, k, seed, keep_particles)
     return RbpfResult(trace, z_posteriors)

@@ -579,24 +579,20 @@ def _collapse_joint_params(params: ClgssParams) -> LgssParams:
     Probes the callables at a few points to recover the (required) linear
     coefficients and refuses anything that is not homogeneous linear.
     """
-    d0 = params.drift(0.0, 0)
-    slope = params.drift(1.0, 0) - d0
-    bend = params.drift(2.0, 0) - 2.0 * params.drift(1.0, 0) + d0
-    o0 = params.obs_offset(0.0)
-    o_slope = params.obs_offset(1.0) - o0
-    o_bend = params.obs_offset(2.0) - 2.0 * params.obs_offset(1.0) + o0
+    probes = np.array([0.0, 1.0, 2.0])
+    d0, d1, d2 = params.drift(probes, 0)
+    o0, o1, o2 = params.obs_offset(probes)
+    slope, bend = d1 - d0, d2 - 2.0 * d1 + d0
+    o_slope, o_bend = o1 - o0, o2 - 2.0 * o1 + o0
     if abs(d0) > 1e-12 or abs(bend) > 1e-9 or abs(o0) > 1e-12 or abs(o_bend) > 1e-9:
         raise ConfigError(
             "exact joint reference needs homogeneous linear drift and"
             " observation offset; use a coupled=false model"
         )
-    a_z = params.lin_trans(0.0)
-    c_z = params.lin_obs(0.0)
-    if not (
-        np.allclose(params.lin_trans(1.0), a_z) and np.allclose(params.lin_obs(1.0), c_z)
-    ):
+    a_z, a_1 = params.lin_trans(probes[:2])
+    c_z, c_1 = params.lin_obs(probes[:2])
+    if not (np.allclose(a_1, a_z) and np.allclose(c_1, c_z)):
         raise ConfigError("exact joint reference needs state-independent blocks")
-    dz = params.dim_z
     return LgssParams(
         trans_mat=block_diag(np.array([[slope]]), a_z),
         obs_mat=np.hstack([np.array([[o_slope]]), c_z]),

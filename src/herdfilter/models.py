@@ -1,10 +1,11 @@
 """State-space models and the synthetic benchmark systems.
 
-Every model exposes the same surface: an initial Gaussian mixture, a
-per-particle transition presented as a Gaussian mixture over the next state,
-a pointwise log observation density, and vectorized variants of both used by
-the filters. Markov-switching models carry their discrete mode as particle
-metadata; the continuous state is all the kernels ever see.
+Every model exposes the same batch surface: an initial Gaussian mixture,
+the transition of a whole particle batch as per-particle Gaussian mixture
+components over the next state (``transition_parts``), and the log
+observation density at every particle of a batch (``log_likelihood_batch``).
+Markov-switching models carry their discrete mode as particle metadata; the
+continuous state is all the kernels ever see.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ class StateSpaceModel:
     dim_x: int
     dim_y: int
     initial: GaussianMixture
-    transition: Callable  # (x, t, mode=None) -> GaussianMixture
-    log_likelihood: Callable  # (x, y, t, mode=None) -> float
     transition_parts: Callable  # ((N,d) points, t, modes) -> TransitionParts
     log_likelihood_batch: Callable  # ((N,d) points, y, t, modes) -> (N,)
     sample_observation: Callable  # (x, t, rng, mode=None) -> (dim_y,)
@@ -75,10 +74,6 @@ class Trajectory:
     states: np.ndarray  # (T, dim_x), row t-1 holds x_t
     observations: np.ndarray  # (T, dim_y)
     modes: np.ndarray | None = None
-
-    def __iter__(self):
-        # unpacks as (states, observations); modes stay an attribute
-        return iter((self.states, self.observations))
 
 
 @dataclass(frozen=True)
@@ -113,16 +108,19 @@ class ClgssParams:
 
     With coupled=False every x-dependence is constant/linear and drift_var=0,
     so the joint (x, z) system is an LGSS with a deterministic x-part.
+
+    The callables take a batch of N nonlinear coordinates, an (N,) array,
+    and return one result per coordinate along a leading axis.
     """
 
     coupled: bool
     dim_z: int
-    drift: Callable  # (x: float, t: int) -> float
+    drift: Callable  # ((N,) x, t: int) -> (N,)
     drift_var: float
-    lin_trans: Callable  # (x: float) -> (dim_z, dim_z)
+    lin_trans: Callable  # ((N,) x) -> (N, dim_z, dim_z)
     lin_process_cov: np.ndarray  # (dim_z, dim_z)
-    lin_obs: Callable  # (x: float) -> (1, dim_z)
-    obs_offset: Callable  # (x: float) -> float
+    lin_obs: Callable  # ((N,) x) -> (N, 1, dim_z)
+    obs_offset: Callable  # ((N,) x) -> (N,)
     obs_var: float
     init_x_mean: float
     init_x_var: float
@@ -161,10 +159,6 @@ def lgss_model(params: LgssParams) -> StateSpaceModel:
             np.ones((pts.shape[0], 1)), means, cov_blocks, cov_index
         )
 
-    def transition(x, t, mode=None):
-        mean = a @ np.asarray(x, dtype=float).reshape(d)
-        return GaussianMixture([1.0], mean[None], cov_blocks)
-
     def log_likelihood_batch(points, y, t, modes=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         resid = np.asarray(y, dtype=float).reshape(1, m) - pts @ c.T
@@ -173,9 +167,6 @@ def lgss_model(params: LgssParams) -> StateSpaceModel:
             hit = np.all(np.abs(resid) < 1e-12, axis=1)
             return np.where(hit, 0.0, -np.inf)
         return _gauss_logpdf(resid, r_chol)
-
-    def log_likelihood(x, y, t, mode=None):
-        return float(log_likelihood_batch(np.reshape(x, (1, d)), y, t)[0])
 
     def sample_observation(x, t, rng, mode=None):
         x = np.asarray(x, dtype=float).reshape(d)
@@ -188,8 +179,6 @@ def lgss_model(params: LgssParams) -> StateSpaceModel:
             [1.0], np.asarray(params.init_mean, dtype=float)[None],
             np.asarray(params.init_cov, dtype=float)[None],
         ),
-        transition=transition,
-        log_likelihood=log_likelihood,
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
         sample_observation=sample_observation,
@@ -282,12 +271,6 @@ def jmls_model(params: JmlsParams) -> StateSpaceModel:
         means = np.einsum("kij,nj->nki", a, pts)  # (N, modes, d)
         return TransitionParts(pi[modes], means, cov_blocks, cov_index, new_modes)
 
-    def transition(x, t, mode=None):
-        parts = transition_parts(np.reshape(x, (1, d)), t, [mode])
-        return GaussianMixture(
-            parts.comp_weights[0], parts.means[0], cov_blocks, cov_index
-        )
-
     def log_likelihood_batch(points, y, t, modes=None):
         modes = _require_modes(modes)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -301,9 +284,6 @@ def jmls_model(params: JmlsParams) -> StateSpaceModel:
             out[sel] = _gauss_logpdf(resid, obs_chols[k])
         return out
 
-    def log_likelihood(x, y, t, mode=None):
-        return float(log_likelihood_batch(np.reshape(x, (1, d)), y, t, [mode])[0])
-
     def sample_observation(x, t, rng, mode=None):
         k = int(_require_modes([mode])[0])
         x = np.asarray(x, dtype=float).reshape(d)
@@ -316,8 +296,6 @@ def jmls_model(params: JmlsParams) -> StateSpaceModel:
             [1.0], np.asarray(params.init_mean, dtype=float)[None],
             np.asarray(params.init_cov, dtype=float)[None],
         ),
-        transition=transition,
-        log_likelihood=log_likelihood,
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
         sample_observation=sample_observation,
@@ -379,17 +357,10 @@ def make_nonlinear_benchmark() -> StateSpaceModel:
             np.ones((pts.shape[0], 1)), means, cov_blocks, cov_index
         )
 
-    def transition(x, t, mode=None):
-        mean = _benchmark_drift(np.reshape(x, ()), t)
-        return GaussianMixture([1.0], [[mean]], cov_blocks)
-
     def log_likelihood_batch(points, y, t, modes=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         resid = float(np.reshape(y, ())) - 0.05 * pts[:, 0] ** 2
         return -0.5 * (np.log(2.0 * np.pi) + resid * resid)
-
-    def log_likelihood(x, y, t, mode=None):
-        return float(log_likelihood_batch(np.reshape(x, (1, 1)), y, t)[0])
 
     def sample_observation(x, t, rng, mode=None):
         val = 0.05 * float(np.reshape(x, ())) ** 2
@@ -399,8 +370,6 @@ def make_nonlinear_benchmark() -> StateSpaceModel:
         dim_x=1,
         dim_y=1,
         initial=GaussianMixture([1.0], [[0.0]], [[[1.0]]]),
-        transition=transition,
-        log_likelihood=log_likelihood,
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
         sample_observation=sample_observation,
@@ -421,11 +390,10 @@ def clgss_model(params: ClgssParams) -> StateSpaceModel:
     sqrt_r = float(np.sqrt(params.obs_var))
 
     def _mean_rows(pts, t):
+        x, z = pts[:, 0], pts[:, 1:, None]
         out = np.empty_like(pts)
-        for i, row in enumerate(pts):
-            x, z = row[0], row[1:]
-            out[i, 0] = params.drift(x, t)
-            out[i, 1:] = params.lin_trans(x) @ z
+        out[:, 0] = params.drift(x, t)
+        out[:, 1:] = (params.lin_trans(x) @ z)[:, :, 0]
         return out
 
     def transition_parts(points, t, modes=None):
@@ -435,27 +403,20 @@ def clgss_model(params: ClgssParams) -> StateSpaceModel:
             cov_blocks, cov_index,
         )
 
-    def transition(x, t, mode=None):
-        mean = _mean_rows(np.reshape(x, (1, d)).astype(float), t)
-        return GaussianMixture([1.0], mean, cov_blocks)
-
-    def _obs_mean(row):
-        x, z = row[0], row[1:]
-        return float((params.lin_obs(x) @ z)[0]) + params.obs_offset(x)
+    def _obs_mean(pts):
+        x, z = pts[:, 0], pts[:, 1:, None]
+        return (params.lin_obs(x) @ z)[:, 0, 0] + params.obs_offset(x)
 
     def log_likelihood_batch(points, y, t, modes=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        resid = float(np.reshape(y, ())) - np.array([_obs_mean(r) for r in pts])
+        resid = float(np.reshape(y, ())) - _obs_mean(pts)
         return (
             -0.5 * (np.log(2.0 * np.pi * params.obs_var) + resid * resid / params.obs_var)
         )
 
-    def log_likelihood(x, y, t, mode=None):
-        return float(log_likelihood_batch(np.reshape(x, (1, d)), y, t)[0])
-
     def sample_observation(x, t, rng, mode=None):
-        row = np.asarray(x, dtype=float).reshape(d)
-        return np.array([_obs_mean(row) + sqrt_r * rng.standard_normal()])
+        row = np.asarray(x, dtype=float).reshape(1, d)
+        return _obs_mean(row) + sqrt_r * rng.standard_normal()
 
     init_mean = np.concatenate([[params.init_x_mean], params.init_z_mean])
     init_cov = block_diag(np.array([[params.init_x_var]]), params.init_z_cov)
@@ -463,12 +424,27 @@ def clgss_model(params: ClgssParams) -> StateSpaceModel:
         dim_x=d,
         dim_y=1,
         initial=GaussianMixture([1.0], init_mean[None], init_cov[None]),
-        transition=transition,
-        log_likelihood=log_likelihood,
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
         sample_observation=sample_observation,
     )
+
+
+def _rows(x, mat) -> np.ndarray:
+    """One copy of mat per coordinate in x, stacked along a leading axis."""
+    return np.tile(np.asarray(mat, dtype=float), (np.shape(x)[0], 1, 1))
+
+
+def _coupled_lin_trans(x):
+    out = _rows(x, [[0.7, 0.0], [0.0, 0.6]])
+    out[:, 0, 1] = 0.2 * np.sin(x)
+    return out
+
+
+def _coupled_lin_obs(x):
+    out = _rows(x, [[1.0, 0.0]])
+    out[:, 0, 1] = 0.5 * np.cos(x)
+    return out
 
 
 def make_clgss(seed, coupled: bool = True):
@@ -483,11 +459,11 @@ def make_clgss(seed, coupled: bool = True):
         params = ClgssParams(
             coupled=True,
             dim_z=2,
-            drift=lambda x, t: float(_benchmark_drift(x, t)),
+            drift=_benchmark_drift,
             drift_var=1.0,
-            lin_trans=lambda x: np.array([[0.7, 0.2 * np.sin(x)], [0.0, 0.6]]),
+            lin_trans=_coupled_lin_trans,
             lin_process_cov=0.1 * np.eye(2),
-            lin_obs=lambda x: np.array([[1.0, 0.5 * np.cos(x)]]),
+            lin_obs=_coupled_lin_obs,
             obs_offset=lambda x: 0.05 * x * x,
             obs_var=0.1,
             init_x_mean=0.0,
@@ -501,9 +477,9 @@ def make_clgss(seed, coupled: bool = True):
             dim_z=2,
             drift=lambda x, t: 0.9 * x,
             drift_var=0.0,
-            lin_trans=lambda x: np.array([[0.7, 0.2], [0.0, 0.6]]),
+            lin_trans=lambda x: _rows(x, [[0.7, 0.2], [0.0, 0.6]]),
             lin_process_cov=0.1 * np.eye(2),
-            lin_obs=lambda x: np.array([[1.0, 0.5]]),
+            lin_obs=lambda x: _rows(x, [[1.0, 0.5]]),
             obs_offset=lambda x: 0.3 * x,
             obs_var=0.1,
             init_x_mean=1.0,

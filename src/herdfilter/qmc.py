@@ -18,7 +18,7 @@ from scipy.special import erfc
 
 from .errors import NumericalError
 
-__all__ = ["SobolStream", "sobol_next", "inverse_normal_cdf", "qmc_sample_mixture"]
+__all__ = ["SobolStream", "inverse_normal_cdf", "qmc_sample_mixture"]
 
 _BITS = 32
 _MAX_INDEX = 1 << _BITS
@@ -118,11 +118,6 @@ class SobolStream:
         out = ints.astype(float)
         out /= float(_MAX_INDEX)
         return out
-
-
-def sobol_next(stream: SobolStream) -> np.ndarray:
-    """The next point of the stream (advances its index)."""
-    return stream.take(1)[0]
 
 
 # Acklam's rational approximation of the standard normal quantile; the

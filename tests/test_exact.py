@@ -156,6 +156,23 @@ class TestGridFilter:
             np.testing.assert_array_equal(others, np.zeros(20))
         np.testing.assert_allclose(res.means, np.zeros(5), atol=1e-15)
 
+    def test_sharp_observation_between_nodes(self):
+        # y lies midway between the nodes 0 and 0.004, 63 observation
+        # standard deviations from each: the likelihood underflows exp() at
+        # every node, and the trapezoid evidence is still exact
+        params = LgssParams(
+            trans_mat=[[1.0]], obs_mat=[[1.0]], process_cov=[[1.0]],
+            obs_cov=[[1e-9]], init_mean=[0.0], init_cov=[[1.0]],
+        )
+        res = grid_filter(lgss_model(params), [[0.002]], (-8.0, 8.0, 4001))
+        dx = res.xs[1] - res.xs[0]
+        log_lik = -0.5 * (np.log(2 * np.pi * 1e-9) + 0.002**2 / 1e-9)
+        assert np.exp(log_lik) == 0.0
+        prior = np.exp(-0.5 * np.array([0.0, 0.004]) ** 2) / np.sqrt(2 * np.pi)
+        want = np.log(dx * prior.sum()) + log_lik
+        assert res.log_evidence[0] == pytest.approx(want, rel=1e-12)
+        assert res.means[0] == pytest.approx(0.002, abs=1e-5)
+
     def test_boundary_warning_fires_on_tiny_grid(self):
         model = make_nonlinear_benchmark()
         traj = simulate(model, 10, seed=8)

@@ -1,9 +1,11 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from herdfilter import harness
 from herdfilter.errors import DegenerateFilterError
 from herdfilter.exact import jmls_exact_filter, kalman_run
 from herdfilter.filters import (
@@ -78,9 +80,9 @@ class TestBuildTransitionMixture:
         pset = WeightedParticleSet([[1.5]], [1.0])
         tm = build_transition_mixture(pset, model, 1, [0.3])
         assert tm.mixture.n_components == 1
-        direct = model.transition([1.5], 1)
-        np.testing.assert_allclose(tm.mixture.means, direct.means)
-        np.testing.assert_allclose(tm.mixture.covs, direct.covs)
+        direct = model.transition_parts(np.array([[1.5]]), 1)
+        np.testing.assert_allclose(tm.mixture.means, direct.means[0])
+        np.testing.assert_allclose(tm.mixture.covs, direct.cov_blocks)
         assert tm.mixture.weights[0] == 1.0
         assert tm.ancestors[0] == 0
 
@@ -107,7 +109,7 @@ class TestBuildTransitionMixture:
         y = [0.4]
         tm = build_transition_mixture(pset, model, 3, y)
         direct = sum(
-            w[i] * np.exp(model.log_likelihood(pts[i], y, 3, mode=modes[i]))
+            w[i] * np.exp(model.log_likelihood_batch(pts[i:i + 1], y, 3, modes[i:i + 1])[0])
             for i in range(20)
         )
         assert tm.w_hat == pytest.approx(direct, rel=1e-12)
@@ -130,15 +132,34 @@ class TestBuildTransitionMixture:
         np.testing.assert_allclose(tm.mixture.weights, expect)
 
     def test_degenerate_likelihood_raises(self):
+        # an exact observation that no particle matches has zero density
+        # at every particle
+        params = LgssParams(
+            trans_mat=[[1.0]], obs_mat=[[1.0]], process_cov=[[1.0]],
+            obs_cov=[[0.0]], init_mean=[0.0], init_cov=[[1.0]],
+        )
+        model = lgss_model(params)
+        pset = WeightedParticleSet([[0.0], [0.1]], [0.5, 0.5])
+        with pytest.raises(DegenerateFilterError) as err:
+            build_transition_mixture(pset, model, 4, [1.0])
+        assert err.value.t == 4
+
+    def test_far_observation_keeps_finite_log_weights(self):
+        # every likelihood underflows exp(); the weights and the evidence
+        # come out of log space intact
         params = LgssParams(
             trans_mat=[[1.0]], obs_mat=[[1.0]], process_cov=[[1.0]],
             obs_cov=[[1e-6]], init_mean=[0.0], init_cov=[[1.0]],
         )
         model = lgss_model(params)
         pset = WeightedParticleSet([[0.0], [0.1]], [0.5, 0.5])
-        with pytest.raises(DegenerateFilterError) as err:
-            build_transition_mixture(pset, model, 4, [1e6])
-        assert err.value.t == 4
+        tm = build_transition_mixture(pset, model, 4, [1e6])
+        log_o = model.log_likelihood_batch(pset.points, [1e6], 4)
+        assert np.all(np.exp(log_o) == 0.0)
+        np.testing.assert_array_equal(tm.posterior.weights, [0.0, 1.0])
+        want = np.log(0.5) + log_o[1] + np.log1p(np.exp(log_o[0] - log_o[1]))
+        assert tm.log_w_hat == pytest.approx(want, rel=1e-15)
+        assert tm.w_hat == 0.0
 
 
 def _spread_mixture():
@@ -273,7 +294,7 @@ class TestRunFilter:
                 tr.predictive[0].points, np.full((tr.predictive[0].n, 1), 2.0)
             )
             assert tr.filtered_means[0, 0] == pytest.approx(2.0)
-            want = model.log_likelihood([2.0], [1.9], 1)
+            want = model.log_likelihood_batch(np.array([[2.0]]), [1.9], 1)[0]
             assert np.log(tr.w_hats[0]) == pytest.approx(want, abs=1e-12)
 
     def test_posterior_reweighting_matches_template(self):
@@ -282,10 +303,7 @@ class TestRunFilter:
         tr = run_filter(model, traj.observations, MC_MULTINOMIAL, 50, K2, seed=2)
         for t in range(1, 7):
             pred = tr.predictive[t - 1]
-            log_o = np.array([
-                model.log_likelihood(x, traj.observations[t - 1], t)
-                for x in pred.points
-            ])
+            log_o = model.log_likelihood_batch(pred.points, traj.observations[t - 1], t)
             un = pred.weights * np.exp(log_o)
             np.testing.assert_allclose(tr.w_hats[t - 1], un.sum(), rtol=1e-12)
             np.testing.assert_allclose(
@@ -366,15 +384,39 @@ class TestRunFilter:
         assert (np.abs(ests.mean(axis=0) - exact.filt_means[-1]) <= 4 * se).all()
 
     def test_degenerate_observation_aborts_with_timestep(self):
+        # the state stays at 0 exactly and is observed exactly; y_3 = 1 has
+        # zero density at every particle
         params = LgssParams(
-            trans_mat=[[0.9]], obs_mat=[[1.0]], process_cov=[[0.1]],
-            obs_cov=[[1e-8]], init_mean=[0.0], init_cov=[[0.1]],
+            trans_mat=[[0.9]], obs_mat=[[1.0]], process_cov=[[0.0]],
+            obs_cov=[[0.0]], init_mean=[0.0], init_cov=[[0.0]],
         )
         model = lgss_model(params)
-        ys = np.array([[0.0], [0.0], [1e8], [0.0]])
+        ys = np.array([[0.0], [0.0], [1.0], [0.0]])
         with pytest.raises(DegenerateFilterError) as err:
             run_filter(model, ys, MC_MULTINOMIAL, 30, K1, seed=0)
         assert err.value.t == 3
+
+    @pytest.mark.parametrize(
+        "sampler", [MC_STRATIFIED, QMC_SOBOL, skh(FwVariant.FW, 2000)],
+        ids=lambda s: s.label,
+    )
+    def test_sharp_observation_keeps_finite_evidence(self, sampler):
+        # y = 6 under N(0, 1) seen with variance 1e-4: every particle's
+        # likelihood underflows exp(), though the Kalman log Z is -18.92
+        params = LgssParams(
+            trans_mat=[[1.0]], obs_mat=[[1.0]], process_cov=[[1.0]],
+            obs_cov=[[1e-4]], init_mean=[0.0], init_cov=[[1.0]],
+        )
+        ys = np.array([[6.0]])
+        assert kalman_run(params, ys).log_evidence[-1] == pytest.approx(-18.92, abs=5e-3)
+        tr = run_filter(lgss_model(params), ys, sampler, 100, K1, seed=0)
+        pred, post = tr.predictive[0], tr.posterior[0]
+        assert np.isfinite(tr.log_evidence[-1])
+        assert post.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        # the particle nearest the observation takes the posterior mass
+        nearest = np.argmin(np.abs(pred.points[:, 0] - 6.0))
+        assert np.argmax(post.weights) == nearest
+        assert post.weights[nearest] > 0.99
 
     def test_seed_determinism(self):
         model, _ = make_lgss(6, d=2, m=1)
@@ -429,8 +471,8 @@ class TestRunRbpf:
         cm, cp = make_clgss(0, coupled=False)
         traj = simulate(cm, 30, seed=9)
         lgss = LgssParams(
-            trans_mat=block_diag([[0.9]], cp.lin_trans(0.0)),
-            obs_mat=np.hstack([[[0.3]], cp.lin_obs(0.0)]),
+            trans_mat=block_diag([[0.9]], cp.lin_trans(np.zeros(1))[0]),
+            obs_mat=np.hstack([[[0.3]], cp.lin_obs(np.zeros(1))[0]]),
             process_cov=block_diag([[0.0]], cp.lin_process_cov),
             obs_cov=[[cp.obs_var]],
             init_mean=np.concatenate([[cp.init_x_mean], cp.init_z_mean]),
@@ -449,6 +491,20 @@ class TestRunRbpf:
             np.testing.assert_allclose(
                 res.trace.filtered_means[:, 0], ref.filt_means[:, 0], atol=1e-8
             )
+
+    def test_outlying_observation_matches_joint_kalman(self):
+        # y_2 sits ~45 innovation standard deviations out: every Kalman
+        # marginal underflows exp(), the log evidence stays exact
+        _, cp = make_clgss(0, coupled=False)
+        cp = dataclasses.replace(cp, obs_var=1e-4)
+        ys = np.array([[0.5], [50.0], [0.2]])
+        ref = kalman_run(harness._collapse_joint_params(cp), ys)
+        res = run_rbpf(cp, ys, MC_STRATIFIED, 20, K1, seed=0)
+        assert ref.log_evidence[1] - ref.log_evidence[0] < -745.0
+        np.testing.assert_allclose(res.trace.log_evidence, ref.log_evidence, atol=1e-8)
+        for t in range(3):
+            zm, _ = res.z_posteriors[t].moments()
+            np.testing.assert_allclose(zm, ref.filt_means[t, 1:], atol=1e-8)
 
     def test_particle_count_and_ancestry_maintained(self):
         cm, cp = make_clgss(0, coupled=True)

@@ -29,10 +29,10 @@ class TestLgss:
     def test_transition_is_single_gaussian(self):
         model, params = make_lgss(3, d=3, m=2)
         x = np.array([0.4, -1.0, 2.0])
-        mix = model.transition(x, 5)
-        assert mix.weights.shape == (1,)
-        np.testing.assert_allclose(mix.means[0], params.trans_mat @ x)
-        np.testing.assert_array_equal(mix.covs[0], np.eye(3))
+        parts = model.transition_parts(x[None], 5)
+        assert parts.comp_weights[0].shape == (1,)
+        np.testing.assert_allclose(parts.means[0, 0], params.trans_mat @ x)
+        np.testing.assert_array_equal(parts.cov_blocks[parts.cov_index[0]], np.eye(3))
 
     def test_log_likelihood_matches_mvn(self):
         model, params = make_lgss(4, d=3, m=2)
@@ -43,7 +43,8 @@ class TestLgss:
             want = multivariate_normal.logpdf(
                 y, mean=params.obs_mat @ x, cov=params.obs_cov
             )
-            assert model.log_likelihood(x, y, 1) == pytest.approx(want, rel=1e-12)
+            got = model.log_likelihood_batch(x[None], y, 1)[0]
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_generated_system_properties(self):
         for seed in range(6):
@@ -60,12 +61,13 @@ class TestLgss:
         np.testing.assert_array_equal(params.obs_cov, [[0.1]])
 
     def test_batch_agrees_with_scalar(self):
+        # each row of a batch equals the same point evaluated on its own
         model, _ = make_lgss(9, d=2, m=2)
         pts = np.random.default_rng(1).standard_normal((7, 2))
         y = np.array([0.3, -0.2])
         batch = model.log_likelihood_batch(pts, y, 2)
         for i, x in enumerate(pts):
-            assert batch[i] == pytest.approx(model.log_likelihood(x, y, 2))
+            assert batch[i] == pytest.approx(model.log_likelihood_batch(x[None], y, 2)[0])
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
@@ -77,16 +79,17 @@ class TestJmls:
         model, params = make_jmls(11)
         x = np.array([1.0, -0.5])
         for mode in (0, 1):
-            mix = model.transition(x, 1, mode=mode)
+            parts = model.transition_parts(x[None], 1, modes=np.array([mode]))
+            weights = parts.comp_weights[0]
             np.testing.assert_allclose(
-                np.sort(mix.weights), [0.3, 0.7], atol=1e-15
+                np.sort(weights), [0.3, 0.7], atol=1e-15
             )
             np.testing.assert_array_equal(
-                mix.weights, params.switch_probs[mode]
+                weights, params.switch_probs[mode]
             )
             for new_mode in (0, 1):
                 np.testing.assert_allclose(
-                    mix.means[new_mode], params.mode_trans_mats[new_mode] @ x
+                    parts.means[0, new_mode], params.mode_trans_mats[new_mode] @ x
                 )
 
     def test_identity_switching_never_moves(self):
@@ -109,7 +112,10 @@ class TestJmls:
         model, params = make_jmls(14)
         x = np.array([0.3, 0.8])
         y = np.array([0.1])
-        vals = [model.log_likelihood(x, y, 1, mode=k) for k in (0, 1)]
+        vals = [
+            model.log_likelihood_batch(x[None], y, 1, modes=np.array([k]))[0]
+            for k in (0, 1)
+        ]
         want = [
             multivariate_normal.logpdf(
                 y, mean=params.mode_obs_mats[k] @ x, cov=[[0.1]]
@@ -118,7 +124,7 @@ class TestJmls:
         ]
         np.testing.assert_allclose(vals, want, rtol=1e-12)
         with pytest.raises(ValueError):
-            model.log_likelihood(x, y, 1)
+            model.log_likelihood_batch(x[None], y, 1)
 
     def test_mode_eigenvalues_stable(self):
         _, params = make_jmls(15)
@@ -129,19 +135,19 @@ class TestJmls:
 class TestNonlinearBenchmark:
     def test_transition_mean_first_step(self):
         model = make_nonlinear_benchmark()
-        mix = model.transition(0.0, 1)
-        assert mix.means[0, 0] == pytest.approx(8.0 * np.cos(1.2), abs=0.0)
-        assert mix.means[0, 0] == pytest.approx(2.8989, abs=1e-4)
-        assert mix.covs[0, 0, 0] == 1.0
+        parts = model.transition_parts(np.array([[0.0]]), 1)
+        assert parts.means[0, 0, 0] == pytest.approx(8.0 * np.cos(1.2), abs=0.0)
+        assert parts.means[0, 0, 0] == pytest.approx(2.8989, abs=1e-4)
+        assert parts.cov_blocks[parts.cov_index[0], 0, 0] == 1.0
 
     def test_transition_mean_time_zero(self):
         model = make_nonlinear_benchmark()
-        mix = model.transition(1.0, 0)
-        assert mix.means[0, 0] == 21.0
+        parts = model.transition_parts(np.array([[1.0]]), 0)
+        assert parts.means[0, 0, 0] == 21.0
 
     def test_log_likelihood_zero_residual(self):
         model = make_nonlinear_benchmark()
-        got = model.log_likelihood(2.0, 0.2, 3)
+        got = model.log_likelihood_batch(np.array([[2.0]]), 0.2, 3)[0]
         assert got == pytest.approx(-0.5 * np.log(2.0 * np.pi), abs=1e-15)
 
 
@@ -154,9 +160,9 @@ class TestSimulate:
                 init_mean=[1.0, -2.0], init_cov=np.zeros((2, 2)),
             )
         )
-        states, obs = simulate(model, 20, seed=0)
-        np.testing.assert_array_equal(states, np.tile([1.0, -2.0], (20, 1)))
-        np.testing.assert_array_equal(obs, states)
+        traj = simulate(model, 20, seed=0)
+        np.testing.assert_array_equal(traj.states, np.tile([1.0, -2.0], (20, 1)))
+        np.testing.assert_array_equal(traj.observations, traj.states)
 
     def test_output_lengths(self):
         model, _ = make_lgss(1, d=2, m=1)
@@ -189,11 +195,26 @@ class TestClgss:
     def test_conditional_covariances_psd(self):
         _, params = make_clgss(0, coupled=True)
         assert np.linalg.eigvalsh(params.lin_process_cov).min() >= 0.0
-        for x in np.linspace(-3, 3, 7):
-            a = params.lin_trans(x)
-            assert a.shape == (2, 2)
-            c = params.lin_obs(x)
-            assert c.shape == (1, 2)
+        xs = np.linspace(-3, 3, 7)
+        a = params.lin_trans(xs)
+        assert a.shape == (7, 2, 2)
+        c = params.lin_obs(xs)
+        assert c.shape == (7, 1, 2)
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_callables_match_stacked_per_point_results(self, coupled):
+        _, params = make_clgss(0, coupled=coupled)
+        xs = np.random.default_rng(2).normal(scale=3.0, size=9)
+        for name, call in [
+            ("drift", lambda x: params.drift(x, 4)),
+            ("lin_trans", params.lin_trans),
+            ("lin_obs", params.lin_obs),
+            ("obs_offset", params.obs_offset),
+        ]:
+            batch = call(xs)
+            stacked = np.stack([call(xs[i:i + 1])[0] for i in range(xs.size)])
+            assert batch.shape == stacked.shape, name
+            np.testing.assert_array_equal(batch, stacked, err_msg=name)
 
     def test_collapse_x_part_is_deterministic(self):
         model, params = make_clgss(0, coupled=False)

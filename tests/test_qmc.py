@@ -10,7 +10,6 @@ from herdfilter.qmc import (
     _direction_integers,
     inverse_normal_cdf,
     qmc_sample_mixture,
-    sobol_next,
 )
 
 
@@ -77,7 +76,7 @@ class TestSobolStream:
     def test_index_counter(self):
         s = SobolStream(2, offset=5)
         assert s.index == 0
-        sobol_next(s)
+        s.take(1)[0]
         assert s.index == 1
         s.take(10)
         assert s.index == 11
@@ -86,7 +85,7 @@ class TestSobolStream:
         s = SobolStream(1, offset=(1 << 32) - 2)
         s.take(2)
         with pytest.raises(NumericalError):
-            sobol_next(s)
+            s.take(1)[0]
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
