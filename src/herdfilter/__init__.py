@@ -6,7 +6,6 @@ from .exact import (
     grid_filter,
     jmls_exact_filter,
     kalman_run,
-    kalman_step,
     kalman_update,
 )
 from .filters import (
@@ -38,9 +37,6 @@ from .kernels import (
     GaussianMixture,
     KernelConfig,
     WeightedParticleSet,
-    kernel_eval,
-    mc_mean_map_bound,
-    mean_map_eval,
     mean_map_sqnorm,
     mmd,
 )
@@ -64,7 +60,6 @@ __all__ = [
     "grid_filter",
     "jmls_exact_filter",
     "kalman_run",
-    "kalman_step",
     "kalman_update",
     "MC_MULTINOMIAL",
     "MC_STRATIFIED",
@@ -93,9 +88,6 @@ __all__ = [
     "GaussianMixture",
     "KernelConfig",
     "WeightedParticleSet",
-    "kernel_eval",
-    "mc_mean_map_bound",
-    "mean_map_eval",
     "mean_map_sqnorm",
     "mmd",
     "StateSpaceModel",

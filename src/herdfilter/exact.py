@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import NumericalError
-from .kernels import safe_cholesky
+from .kernels import _mixture_moments, safe_cholesky
 from .models import JmlsParams, LgssParams, StateSpaceModel
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "JmlsExactResult",
     "GridFilterResult",
     "kalman_update",
-    "kalman_step",
     "kalman_run",
     "jmls_exact_filter",
     "grid_filter",
@@ -54,6 +53,16 @@ class GaussianBelief:
 
 def _symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def _gauss_predict(mean, cov, a, q):
+    """Time update of a batch of Gaussian beliefs through x' = a x + N(0, q).
+
+    mean (..., d) and cov (..., d, d) may carry leading batch axes; a
+    (..., d, d) and q (..., d, d) broadcast against them.
+    """
+    pred_mean = (a @ mean[..., None])[..., 0]
+    return pred_mean, _symmetrize(a @ cov @ np.swapaxes(a, -1, -2) + q)
 
 
 def _gauss_update(mean, cov, c, r, y):
@@ -96,16 +105,6 @@ def kalman_update(belief: GaussianBelief, params: LgssParams, y) -> GaussianBeli
     return GaussianBelief(mean, cov, belief.log_evidence + float(inc))
 
 
-def kalman_step(belief: GaussianBelief, params: LgssParams, y) -> GaussianBelief:
-    """Time update through the dynamics, then measurement update."""
-    a = np.asarray(params.trans_mat, dtype=float)
-    q = np.asarray(params.process_cov, dtype=float)
-    pred = GaussianBelief(
-        a @ belief.mean, _symmetrize(a @ belief.cov @ a.T + q), belief.log_evidence
-    )
-    return kalman_update(pred, params, y)
-
-
 @dataclass(frozen=True)
 class KalmanTrace:
     pred_means: np.ndarray  # (T, d) predictive (pre-update) means
@@ -134,9 +133,7 @@ def kalman_run(params: LgssParams, y_seq) -> KalmanTrace:
     for t in range(T):
         if t > 0:
             belief = GaussianBelief(
-                a @ belief.mean,
-                _symmetrize(a @ belief.cov @ a.T + q),
-                belief.log_evidence,
+                *_gauss_predict(belief.mean, belief.cov, a, q), belief.log_evidence
             )
         pred_means[t] = belief.mean
         pred_covs[t] = belief.cov
@@ -164,16 +161,6 @@ class JmlsExactResult:
     filt_covs: np.ndarray  # (T, d, d)
     log_evidence: np.ndarray  # (T,) cumulative
     branches: list  # final-time JmlsBranch list, length 2^T
-
-
-def _mixture_moments(log_weights, means, covs):
-    w = np.exp(log_weights - logsumexp(log_weights))
-    mean = w @ means
-    centered = means - mean
-    cov = np.einsum("b,bij->ij", w, covs) + np.einsum(
-        "b,bi,bj->ij", w, centered, centered
-    )
-    return mean, _symmetrize(cov)
 
 
 def jmls_exact_filter(params: JmlsParams, y_seq) -> JmlsExactResult:
@@ -214,8 +201,8 @@ def jmls_exact_filter(params: JmlsParams, y_seq) -> JmlsExactResult:
     hist = np.arange(n_modes)[:, None]
     for t in range(T):
         if t > 0:
-            pm = (a @ means[:, None, :, None])[..., 0]  # (B, modes, d)
-            pc = _symmetrize(a @ covs[:, None] @ np.swapaxes(a, -1, -2) + proc_covs)
+            # (B, modes, d) predictions: every branch through every mode
+            pm, pc = _gauss_predict(means[:, None], covs[:, None], a, proc_covs)
             m, cv, inc = _gauss_update(pm, pc, c, obs_covs, y_seq[t])
             lw = (lw[:, None] + log_pi[hist[:, -1]] + inc).reshape(-1)
             means, covs = m.reshape(-1, d), cv.reshape(-1, d, d)
@@ -223,8 +210,9 @@ def jmls_exact_filter(params: JmlsParams, y_seq) -> JmlsExactResult:
                 np.repeat(hist, n_modes, axis=0),
                 np.tile(np.arange(n_modes), hist.shape[0])[:, None],
             ])
-        filt_means[t], filt_covs[t] = _mixture_moments(lw, means, covs)
         log_ev[t] = logsumexp(lw)
+        filt_means[t], cov = _mixture_moments(np.exp(lw - log_ev[t]), means, covs)
+        filt_covs[t] = _symmetrize(cov)
     branches = [
         JmlsBranch(float(w), GaussianBelief(mu, cv), tuple(int(k) for k in h))
         for w, mu, cv, h in zip(lw, means, covs, hist)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFilterError, NumericalError
-from .exact import _as_obs_seq, _gauss_update
+from .exact import _as_obs_seq, _gauss_predict, _gauss_update
 from .fw_quad import FwVariant, fw_quad
 from .kernels import GaussianMixture, KernelConfig, WeightedParticleSet
 from .models import ClgssParams, StateSpaceModel, TransitionParts
@@ -103,11 +103,6 @@ class TransitionMixture:
     new_modes: np.ndarray | None = None
     posterior: WeightedParticleSet | None = None
     log_w_hat: float | None = None
-
-    @property
-    def w_hat(self) -> float | None:
-        """The unnormalized weight sum sum_i w_i o_t(x_i)."""
-        return None if self.log_w_hat is None else float(np.exp(self.log_w_hat))
 
     def __post_init__(self):
         k = self.mixture.n_components
@@ -256,12 +251,7 @@ def pf_step(
         # [j/n, (j+1)/n) keeps every component count within floor/ceil of
         # its expectation
         u = (np.arange(n) + rng.random()) / n
-        cum = np.cumsum(mix.weights)
-        cum[-1] = 1.0
-        comps = np.searchsorted(cum, u, side="right")
-        z = rng.standard_normal((n, mix.dim))
-        factors = mix.chol_factors[mix.cov_map[comps]]
-        pts = mix.means[comps] + np.einsum("nij,nj->ni", factors, z)
+        pts, comps = mix._place(u, rng.standard_normal((n, mix.dim)))
     out = WeightedParticleSet(pts, np.full(n, 1.0 / n))
     return _relabel(out, mixture, comps), 0.0
 
@@ -455,9 +445,7 @@ def run_rbpf(
         z_posteriors.append(
             GaussianMixture(tm.posterior.weights, means, covs, np.arange(m))
         )
-        a = params.lin_trans(xs)
-        z_means = (a @ means[:, :, None])[:, :, 0]
-        z_covs = a @ covs @ np.swapaxes(a, 1, 2) + q
+        z_means, z_covs = _gauss_predict(means, covs, params.lin_trans(xs), q)
         return tm
 
     init = TransitionMixture(

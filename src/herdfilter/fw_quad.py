@@ -30,7 +30,6 @@ from .kernels import (
     WeightedParticleSet,
     _sqrt_clamped,
     kernel_cross,
-    mean_map_eval,
     mean_map_eval_batch,
     mean_map_sqnorm,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "QpConvergenceError",
     "fw_quad",
     "fw_vertex_search",
-    "line_search_gamma",
     "simplex_qp_solve",
     "simplex_qp_kkt_residual",
 ]
@@ -149,21 +147,6 @@ def fw_vertex_search(state: QuadratureState) -> int:
     if state.pool.shape[0] == 0:
         raise ValueError("empty search pool")
     return int(np.argmin(state.pool_cross - state.pool_mu))
-
-
-def line_search_gamma(state: QuadratureState, vertex) -> float:
-    """Analytic step size toward Phi(vertex), clipped to [0, 1].
-
-    gamma = <g - mu_p, g - Phi(v)> / ||g - Phi(v)||^2, with a zero step when
-    the denominator falls under 1e-14.
-    """
-    if state.n_chosen < 1:
-        raise ValueError("line search needs a nonzero iterate (k >= 1)")
-    v = np.asarray(vertex, dtype=float).reshape(1, -1)
-    sel = np.asarray(state.idxs, dtype=np.intp)
-    cross_v = float(state.weights @ kernel_cross(state.pool[sel], v, state.kernel)[:, 0])
-    mu_v = mean_map_eval(state.target, v, state.kernel)
-    return _line_search_step(state.gg, state.gmu, cross_v, mu_v)
 
 
 def _line_search_step(gg: float, gmu: float, cross_v: float, mu_v: float) -> float:
@@ -426,7 +409,6 @@ def fw_quad(
     m: int,
     variant: FwVariant = FwVariant.FW,
     rng_seed: int | None = 0,
-    tolerance: float | None = None,
     pool=None,
     objective_trace: list | None = None,
 ):
@@ -439,7 +421,6 @@ def fw_quad(
         m: search-pool size, m >= n.
         variant: step rule.
         rng_seed: seed for the pool draw (ignored when pool is given).
-        tolerance: optional early-exit threshold on ||g - mu_p||.
         pool: optional fixed (M, d) search points, bypassing the i.i.d. draw.
         objective_trace: optional list collecting J(g_k) after every iteration.
 
@@ -447,7 +428,7 @@ def fw_quad(
         (particles, fw_error): the weighted particle set (ancestry = generating
         mixture component where known) and the closed-form ||g - mu_p||. The
         set may hold fewer than n atoms: the run stops once the squared error
-        falls under 1e-15 or under the given tolerance.
+        falls under 1e-15.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -472,8 +453,6 @@ def fw_quad(
         if not progressed:
             break
         if 2.0 * state.objective < _ERR2_FLOOR:
-            break
-        if tolerance is not None and state.fw_error <= tolerance:
             break
     err = state.fw_error
     out = state.chosen

@@ -20,13 +20,10 @@ __all__ = [
     "KernelConfig",
     "GaussianMixture",
     "WeightedParticleSet",
-    "kernel_eval",
     "kernel_cross",
-    "mean_map_eval",
     "mean_map_eval_batch",
     "mean_map_sqnorm",
     "mmd",
-    "mc_mean_map_bound",
     "safe_cholesky",
 ]
 
@@ -95,6 +92,34 @@ def _as_points(arr, name="points") -> np.ndarray:
     return out
 
 
+def _check_convex(weights: np.ndarray):
+    """Raise unless the weights are nonnegative, finite and sum to one."""
+    if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be nonnegative and finite")
+    if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
+
+
+def _inverse_cdf(weights, u):
+    """Categorical indices of the uniforms u by inverse CDF over weights.
+
+    The last cumulative weight is pinned to 1, so round-off in the sum
+    never lets a uniform in [0, 1) fall past the last category.
+    """
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+def _mixture_moments(weights, means, covs):
+    """(mean, covariance) of the mixture sum_k w_k N(means[k], covs[k])."""
+    m = weights @ means
+    dev = means - m
+    cov = np.einsum("k,kij->ij", weights, covs)
+    cov = cov + (weights[:, None] * dev).T @ dev
+    return m, cov
+
+
 class GaussianMixture:
     """Finite Gaussian mixture with optional shared covariance blocks.
 
@@ -138,10 +163,7 @@ class GaussianMixture:
             raise ValueError("weights and means disagree on component count")
         if k == 0:
             raise ValueError("mixture needs at least one component")
-        if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be nonnegative and finite")
-        if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights sum to {self.weights.sum()!r}, not 1")
+        _check_convex(self.weights)
 
         # Symmetrize, then insist on PSD per distinct block.
         sym_err = np.abs(covs - covs.transpose(0, 2, 1)).max(initial=0.0)
@@ -186,13 +208,18 @@ class GaussianMixture:
         Returns (points, comps): the draws and the generating component index
         of each draw. Component choice consumes one uniform per draw.
         """
-        cum = np.cumsum(self.weights)
-        cum[-1] = 1.0
-        comps = np.searchsorted(cum, rng.random(n), side="right")
-        z = rng.standard_normal((n, self.dim))
+        return self._place(rng.random(n), rng.standard_normal((n, self.dim)))
+
+    def _place(self, u, z):
+        """Points from component uniforms u (n,) and standard normals z (n, d).
+
+        Each u picks a component by inverse CDF over the weights in storage
+        order; its z goes through that component's covariance factor.
+        Returns (points, comps) like sample.
+        """
+        comps = _inverse_cdf(self.weights, u)
         factors = self.chol_factors[self.cov_map[comps]]
-        pts = self.means[comps] + np.einsum("nij,nj->ni", factors, z)
-        return pts, comps
+        return self.means[comps] + np.einsum("nij,nj->ni", factors, z), comps
 
     def pdf(self, x) -> np.ndarray:
         """Mixture density at each row of x."""
@@ -201,11 +228,7 @@ class GaussianMixture:
 
     def moments(self):
         """Analytic (mean, covariance) of the mixture."""
-        m = self.weights @ self.means
-        dev = self.means - m
-        cov = np.einsum("k,kij->ij", self.weights, self.covs[self.cov_map])
-        cov = cov + (self.weights[:, None] * dev).T @ dev
-        return m, cov
+        return _mixture_moments(self.weights, self.means, self.covs[self.cov_map])
 
     def _gauss_sum(self, pts, var_shift, normalized, sigma=None):
         """sum_i w_i c_i exp(-mahal^2(pts; mu_i, Sigma_i + var_shift I) / 2).
@@ -271,10 +294,7 @@ class WeightedParticleSet:
             raise ValueError("weights and points disagree on particle count")
         if n == 0:
             raise ValueError("particle set needs at least one atom")
-        if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be nonnegative and finite")
-        if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights sum to {self.weights.sum()!r}, not 1")
+        _check_convex(self.weights)
         if self.ancestry is not None:
             self.ancestry = np.ascontiguousarray(self.ancestry, dtype=np.intp)
             if self.ancestry.shape != (n,):
@@ -294,16 +314,6 @@ class WeightedParticleSet:
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
-
-
-def kernel_eval(x, y, k: KernelConfig) -> float:
-    """kappa(x, y) for a single pair."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.shape != (k.dim,) or yv.shape != (k.dim,):
-        raise ValueError(f"points must be {k.dim}-dimensional")
-    d2 = float(np.sum((xv - yv) ** 2))
-    return float(np.exp(-0.5 * d2 / k.sigma2))
 
 
 def kernel_cross(x, y, k: KernelConfig) -> np.ndarray:
@@ -332,12 +342,6 @@ def mean_map_eval_batch(p: GaussianMixture, x, k: KernelConfig) -> np.ndarray:
     if pts.shape[1] != k.dim:
         raise ValueError("point dimension does not match the kernel")
     return p._gauss_sum(pts, k.sigma2, normalized=False, sigma=np.sqrt(k.sigma2))
-
-
-def mean_map_eval(p: GaussianMixture, x, k: KernelConfig) -> float:
-    """Mean map of p at a single point."""
-    row = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(mean_map_eval_batch(p, row, k)[0])
 
 
 def mean_map_sqnorm(p: GaussianMixture, k: KernelConfig) -> float:
@@ -397,13 +401,3 @@ def mmd(p: GaussianMixture, q: WeightedParticleSet, k: KernelConfig) -> float:
     gram = kernel_cross(q.points, q.points, k)
     t_qq = float(q.weights @ gram @ q.weights)
     return _sqrt_clamped(t_pp - 2.0 * t_pq + t_qq)
-
-
-def mc_mean_map_bound(p: GaussianMixture, k: KernelConfig, n: int) -> float:
-    """Expected squared mean-map error of n i.i.d. samples: (1 - ||mu_p||^2)/n.
-
-    The kernel is bounded by 1, so R = 1 here.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (1.0 - mean_map_sqnorm(p, k)) / n

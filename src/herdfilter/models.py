@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import block_diag, solve_triangular
 
 from .errors import NumericalError
-from .kernels import GaussianMixture, safe_cholesky
+from .kernels import GaussianMixture, _inverse_cdf, safe_cholesky
 
 __all__ = [
     "StateSpaceModel",
@@ -495,9 +495,7 @@ def make_clgss(seed, coupled: bool = True):
 
 
 def _draw_categorical(rng, probs: np.ndarray) -> int:
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return int(np.searchsorted(cum, rng.random(), side="right"))
+    return int(_inverse_cdf(probs, rng.random()))
 
 
 def simulate(model: StateSpaceModel, T: int, seed) -> Trajectory:

@@ -207,10 +207,5 @@ def qmc_sample_mixture(p, n: int, stream: SobolStream):
     if n < 1:
         raise ValueError("n must be >= 1")
     u = stream.take(n)
-    cum = np.cumsum(p.weights)
-    cum[-1] = 1.0
-    comps = np.searchsorted(cum, u[:, d], side="right")
-    z = inverse_normal_cdf(u[:, :d])
-    factors = p.chol_factors[p.cov_map[comps]]
-    pts = p.means[comps] + np.einsum("nij,nj->ni", factors, z)
+    pts, comps = p._place(u[:, d], inverse_normal_cdf(u[:, :d]))
     return WeightedParticleSet(pts, np.full(n, 1.0 / n), ancestry=comps)

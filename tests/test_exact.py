@@ -6,10 +6,10 @@ import pytest
 from herdfilter.errors import NumericalError
 from herdfilter.exact import (
     GaussianBelief,
+    _gauss_predict,
     grid_filter,
     jmls_exact_filter,
     kalman_run,
-    kalman_step,
     kalman_update,
 )
 from herdfilter.models import (
@@ -28,10 +28,20 @@ SCALAR = LgssParams(
 )
 
 
+def predict_then_update(belief, params, y):
+    """Time update through the dynamics, then measurement update."""
+    a = np.asarray(params.trans_mat, dtype=float)
+    q = np.asarray(params.process_cov, dtype=float)
+    pred = GaussianBelief(
+        *_gauss_predict(belief.mean, belief.cov, a, q), belief.log_evidence
+    )
+    return kalman_update(pred, params, y)
+
+
 class TestKalman:
     def test_frozen_scalar_step(self):
         # predict: N(0, 1+1) = N(0, 2); gain 2/3; posterior N(4/3, 2/3)
-        out = kalman_step(GaussianBelief(np.zeros(1), np.eye(1)), SCALAR, [2.0])
+        out = predict_then_update(GaussianBelief(np.zeros(1), np.eye(1)), SCALAR, [2.0])
         assert out.mean[0] == pytest.approx(4.0 / 3.0, abs=1e-14)
         assert out.cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
         # evidence increment is the predictive density N(2; 0, 3)
@@ -40,13 +50,15 @@ class TestKalman:
 
     def test_exact_observation_limit(self):
         params = dataclasses.replace(SCALAR, process_cov=[[0.0]], obs_cov=[[1e-14]])
-        out = kalman_step(GaussianBelief(np.zeros(1), np.eye(1)), params, [0.7])
+        out = predict_then_update(GaussianBelief(np.zeros(1), np.eye(1)), params, [0.7])
         assert out.mean[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_singular_innovation_raises(self):
         params = dataclasses.replace(SCALAR, process_cov=[[0.0]], obs_cov=[[0.0]])
         with pytest.raises(NumericalError):
-            kalman_step(GaussianBelief(np.zeros(1), np.zeros((1, 1))), params, [0.0])
+            predict_then_update(
+                GaussianBelief(np.zeros(1), np.zeros((1, 1))), params, [0.0]
+            )
 
     def test_run_first_step_updates_prior_directly(self):
         trace = kalman_run(SCALAR, [[2.0]])
@@ -64,6 +76,24 @@ class TestKalman:
             np.testing.assert_array_equal(cov, cov.T)
             assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
+    def test_batched_predict_matches_rows(self):
+        # (B, modes, d): every belief through every mode's dynamics at once
+        rng = np.random.default_rng(8)
+        b, modes, d = 4, 3, 2
+        means = rng.standard_normal((b, d))
+        f = rng.standard_normal((b, d, d))
+        covs = f @ np.swapaxes(f, 1, 2)
+        a = rng.standard_normal((modes, d, d))
+        g = rng.standard_normal((modes, d, d))
+        q = g @ np.swapaxes(g, 1, 2)
+        pm, pc = _gauss_predict(means[:, None], covs[:, None], a, q)
+        assert pm.shape == (b, modes, d) and pc.shape == (b, modes, d, d)
+        for i in range(b):
+            for k in range(modes):
+                m, c = _gauss_predict(means[i], covs[i], a[k], q[k])
+                assert np.array_equal(pm[i, k], m)
+                assert np.array_equal(pc[i, k], c)
+
     def test_update_then_step_composition(self):
         model, params = make_lgss(6, d=2, m=1)
         traj = simulate(model, 12, seed=2)
@@ -71,7 +101,7 @@ class TestKalman:
         belief = GaussianBelief(params.init_mean, params.init_cov)
         belief = kalman_update(belief, params, traj.observations[0])
         for y in traj.observations[1:]:
-            belief = kalman_step(belief, params, y)
+            belief = predict_then_update(belief, params, y)
         np.testing.assert_allclose(belief.mean, trace.filt_means[-1], atol=1e-12)
         assert belief.log_evidence == pytest.approx(trace.log_evidence[-1])
 

@@ -35,6 +35,7 @@ from herdfilter.models import (
     make_lgss,
     simulate,
 )
+from herdfilter.qmc import SobolStream, inverse_normal_cdf, qmc_sample_mixture
 
 K1 = KernelConfig(sigma2=1.0, dim=1)
 K2 = KernelConfig(sigma2=1.0, dim=2)
@@ -112,7 +113,7 @@ class TestBuildTransitionMixture:
             w[i] * np.exp(model.log_likelihood_batch(pts[i:i + 1], y, 3, modes[i:i + 1])[0])
             for i in range(20)
         )
-        assert tm.w_hat == pytest.approx(direct, rel=1e-12)
+        assert np.exp(tm.log_w_hat) == pytest.approx(direct, rel=1e-12)
         np.testing.assert_allclose(
             tm.posterior.weights.sum(), 1.0, atol=1e-12
         )
@@ -159,7 +160,7 @@ class TestBuildTransitionMixture:
         np.testing.assert_array_equal(tm.posterior.weights, [0.0, 1.0])
         want = np.log(0.5) + log_o[1] + np.log1p(np.exp(log_o[0] - log_o[1]))
         assert tm.log_w_hat == pytest.approx(want, rel=1e-15)
-        assert tm.w_hat == 0.0
+        assert np.exp(tm.log_w_hat) == 0.0
 
 
 def _spread_mixture():
@@ -242,8 +243,6 @@ class TestPfStep:
         np.testing.assert_array_equal(out.ancestry, np.full(8, 4))
 
     def test_qmc_consumes_shared_stream(self):
-        from herdfilter.qmc import SobolStream
-
         mix = GaussianMixture([1.0], [[0.0]], [[[1.0]]])
         tm = TransitionMixture(mix, np.zeros(1, dtype=np.intp))
         stream = SobolStream(2)
@@ -279,6 +278,61 @@ class TestPfStep:
         _, err = fw_quad(mix, K2, 20, 300, variant=FwVariant.FW_LS, pool=pool)
         _, err_p = fw_quad(mix_p, K2, 20, 300, variant=FwVariant.FW_LS, pool=pool)
         assert err == pytest.approx(err_p, abs=1e-12)
+
+
+def _draw_mixtures():
+    rng = np.random.default_rng(17)
+    w = rng.random(6) + 0.05
+    w /= w.sum()
+    means = rng.normal(size=(6, 2))
+    # two isotropic blocks shared by alternating components
+    shared = GaussianMixture(
+        w, means, [0.5 * np.eye(2), 2.0 * np.eye(2)], np.tile([0, 1], 3)
+    )
+    g = rng.normal(size=(6, 2, 2))
+    full = GaussianMixture(w[::-1], means, g @ np.swapaxes(g, 1, 2) + 0.1 * np.eye(2))
+    return [shared, full]
+
+
+def _inline_draw(mix, u, z):
+    """The component draw written out: inverse CDF, then covariance factor."""
+    cum = np.cumsum(mix.weights)
+    cum[-1] = 1.0
+    comps = np.searchsorted(cum, u, side="right")
+    factors = mix.chol_factors[mix.cov_map[comps]]
+    return mix.means[comps] + np.einsum("nij,nj->ni", factors, z), comps
+
+
+class TestMixtureDraw:
+    """Every sampler's points and components, bit for bit, against the formula."""
+
+    def test_multinomial(self):
+        for mix in _draw_mixtures():
+            pts, comps = mix.sample(40, np.random.default_rng(3))
+            rng = np.random.default_rng(3)
+            u = rng.random(40)
+            want_pts, want_comps = _inline_draw(mix, u, rng.standard_normal((40, 2)))
+            assert np.array_equal(pts, want_pts)
+            assert np.array_equal(comps, want_comps)
+
+    def test_stratified(self):
+        for mix in _draw_mixtures():
+            tm = TransitionMixture(mix, np.arange(mix.n_components))
+            out, _ = pf_step(MC_STRATIFIED, tm, 40, K2, 5)
+            rng = np.random.default_rng(5)
+            u = (np.arange(40) + rng.random()) / 40
+            want_pts, want_comps = _inline_draw(mix, u, rng.standard_normal((40, 2)))
+            assert np.array_equal(out.points, want_pts)
+            assert np.array_equal(out.ancestry, want_comps)
+
+    def test_qmc(self):
+        for mix in _draw_mixtures():
+            out = qmc_sample_mixture(mix, 40, SobolStream(3))
+            u = SobolStream(3).take(40)
+            z = inverse_normal_cdf(u[:, :2])
+            want_pts, want_comps = _inline_draw(mix, u[:, 2], z)
+            assert np.array_equal(out.points, want_pts)
+            assert np.array_equal(out.ancestry, want_comps)
 
 
 class TestRunFilter:

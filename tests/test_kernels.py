@@ -6,9 +6,6 @@ from herdfilter import (
     KernelConfig,
     NumericalError,
     WeightedParticleSet,
-    kernel_eval,
-    mc_mean_map_bound,
-    mean_map_eval,
     mean_map_sqnorm,
     mmd,
 )
@@ -47,10 +44,15 @@ def random_mixture(rng, dim=2, n_comp=5, isotropic=True):
     return GaussianMixture(w, means, covs)
 
 
+def kernel_pair(x, y, k):
+    """kappa(x, y) for one pair, as a one-by-one Gram block."""
+    return kernel_cross(np.asarray(x, float)[None], np.asarray(y, float)[None], k)[0, 0]
+
+
 class TestKernelEval:
     def test_frozen_example(self):
         k = KernelConfig(1.0, 2)
-        assert kernel_eval([0.0, 0.0], [1.0, 1.0], k) == pytest.approx(
+        assert kernel_pair([0.0, 0.0], [1.0, 1.0], k) == pytest.approx(
             np.exp(-1.0), abs=1e-12
         )
 
@@ -59,11 +61,11 @@ class TestKernelEval:
         k = KernelConfig(0.7, 3)
         for _ in range(200):
             x, y = rng.standard_normal(3), rng.standard_normal(3)
-            v = kernel_eval(x, y, k)
+            v = kernel_pair(x, y, k)
             assert 0.0 < v <= 1.0
-            assert v == pytest.approx(kernel_eval(y, x, k), abs=0.0)
+            assert v == pytest.approx(kernel_pair(y, x, k), abs=0.0)
         x = rng.standard_normal(3)
-        assert kernel_eval(x, x, k) == 1.0
+        assert kernel_pair(x, x, k) == 1.0
 
     def test_cross_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -73,11 +75,12 @@ class TestKernelEval:
         g = kernel_cross(xs, ys, k)
         for i in range(4):
             for j in range(3):
-                assert g[i, j] == pytest.approx(kernel_eval(xs[i], ys[j], k), rel=1e-12)
+                want = np.exp(-0.5 * np.sum((xs[i] - ys[j]) ** 2) / k.sigma2)
+                assert g[i, j] == pytest.approx(want, rel=1e-12)
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError):
-            kernel_eval([0.0], [0.0, 0.0], KernelConfig(1.0, 2))
+            kernel_pair([0.0], [0.0, 0.0], KernelConfig(1.0, 2))
 
     def test_bad_sigma2_raises(self):
         with pytest.raises(ValueError):
@@ -89,7 +92,7 @@ class TestKernelEval:
 class TestMeanMap:
     def test_frozen_scalar_example(self):
         # against the frozen MC oracle and the closed form itself
-        v = mean_map_eval(unit_gaussian_1d(), [0.0], UNIT_1D)
+        v = mean_map_eval_batch(unit_gaussian_1d(), np.array([[0.0]]), UNIT_1D)[0]
         assert v == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert v == pytest.approx(MC_MEAN_MAP_AT_0, abs=1e-3)
 
@@ -141,7 +144,7 @@ class TestMeanMap:
         est = np.exp(
             -0.5 * np.sum((draws - x0) ** 2, axis=1) / k.sigma2
         ).mean()
-        assert mean_map_eval(p, x0, k) == pytest.approx(est, abs=3e-3)
+        assert mean_map_eval_batch(p, x0[None], k)[0] == pytest.approx(est, abs=3e-3)
 
 
 class TestMmd:
@@ -175,7 +178,8 @@ class TestMmd:
             _sqrt_clamped(-1.0001e-10)
 
     def test_mc_bound_frozen_example(self):
-        v = mc_mean_map_bound(unit_gaussian_1d(), UNIT_1D, 10)
+        # expected squared MMD of 10 i.i.d. draws: (1 - ||mu_p||^2) / n
+        v = (1.0 - mean_map_sqnorm(unit_gaussian_1d(), UNIT_1D)) / 10
         assert v == pytest.approx((1.0 - 1.0 / np.sqrt(3.0)) / 10.0, abs=1e-12)
         assert v == pytest.approx(0.042264973081037424, abs=1e-9)
 
@@ -184,7 +188,7 @@ class TestMmd:
         rng = np.random.default_rng(7)
         p = random_mixture(rng, dim=2, n_comp=3)
         k = KernelConfig(1.0, 2)
-        bound = mc_mean_map_bound(p, k, 10)
+        bound = (1.0 - mean_map_sqnorm(p, k)) / 10
         sq = []
         for _ in range(200):
             pts, _ = p.sample(10, rng)
