@@ -22,14 +22,16 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .kernels import (
     GaussianMixture,
     KernelConfig,
     WeightedParticleSet,
+    _as_points,
     _sqrt_clamped,
-    kernel_cross,
+    kernel_cross,  # noqa: F401  unused here; bench/layers.py patches this name
     mean_map_eval_batch,
     mean_map_sqnorm,
 )
@@ -78,9 +80,7 @@ class QuadratureState:
             raise ValueError("target and kernel dimensions disagree")
         self.target = target
         self.kernel = kernel
-        self.pool = np.ascontiguousarray(pool, dtype=float)
-        if self.pool.ndim == 1:
-            self.pool = self.pool[:, None]
+        self.pool = np.ascontiguousarray(_as_points(pool, "pool"))
         if self.pool.shape[1] != kernel.dim:
             raise ValueError("pool dimension does not match the kernel")
         self.pool_components = (
@@ -124,6 +124,14 @@ class QuadratureState:
     def _refresh_inner_products(self):
         self.gg = float(self.weights @ self.gram @ self.weights)
         self.gmu = float(self.weights @ self.mu_sel)
+
+    def _column(self, idx: int) -> np.ndarray:
+        """kappa(pool[idx], pool) as a fresh (M,) array; the pool is already checked."""
+        # the single row goes first: scipy's cdist is about 9x slower on an
+        # (M, 1) distance block than on the (1, M) one, with the same bits
+        col = cdist(self.pool[idx:idx + 1], self.pool, "sqeuclidean")[0]
+        col *= -0.5 / self.kernel.sigma2
+        return np.exp(col, out=col)
 
     def _append_atom(self, idx: int, col: np.ndarray):
         sel = np.asarray(self.idxs, dtype=np.intp)
@@ -181,13 +189,13 @@ class SimplexQp:
     Args:
         gram: (k, k) kernel matrix of the chosen atoms.
         linear: (k,) mean-map values at the atoms.
-        validate_psd: verify PSD-ness eagerly (skipped in the hot loop, where
-            the Gram matrix is PSD by construction).
+        validate: check that gram is symmetric and PSD (skipped in the hot
+            loop, where the Gram matrix is both by construction).
     """
 
     gram: np.ndarray
     linear: np.ndarray
-    validate_psd: bool = field(default=True, repr=False)
+    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=float)
@@ -195,13 +203,13 @@ class SimplexQp:
         k = self.linear.shape[0]
         if self.gram.shape != (k, k):
             raise ValueError("gram and linear sizes disagree")
-        if np.abs(self.gram - self.gram.T).max(initial=0.0) > 1e-9:
-            raise ValueError("gram must be symmetric within 1e-9")
         if not np.all(np.isfinite(self.linear)):
             raise ValueError("linear term must be finite")
         if np.any(self.linear < -1e-12) or np.any(self.linear > 1.0 + 1e-9):
             raise ValueError("linear entries must lie in [0, 1]")
-        if self.validate_psd:
+        if self.validate:
+            if np.abs(self.gram - self.gram.T).max(initial=0.0) > 1e-9:
+                raise ValueError("gram must be symmetric within 1e-9")
             if np.linalg.eigvalsh(self.gram).min(initial=0.0) < -1e-9:
                 raise ValueError("gram must be PSD within 1e-9")
 
@@ -345,14 +353,14 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
     first = state.n_chosen == 0
     col = None
     if not (known and variant is FwVariant.FCFW):
-        col = kernel_cross(state.pool, state.pool[idx][None, :], state.kernel)[:, 0]
+        col = state._column(idx)
 
     if variant is FwVariant.FCFW:
         if state.cols is None:
             raise ValueError("FCFW needs a state built with col_capacity > 0")
         if not known:
             state._append_atom(idx, col)
-        qp = SimplexQp(state.gram, state.mu_sel, validate_psd=False)
+        qp = SimplexQp(state.gram, state.mu_sel, validate=False)
         f_old = _objective(qp, state.weights) if not first else np.inf
         try:
             w_new = simplex_qp_solve(qp, tol=_QP_TOL, w0=None if first else state.weights)
@@ -397,7 +405,10 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
             state._append_atom(idx, col)
             state.weights = (1.0 - gamma) * state.weights
             state.weights[-1] = gamma
-    state.pool_cross = (1.0 - gamma) * state.pool_cross + gamma * col
+    # (1 - gamma) * pool_cross + gamma * col, in place; col is not used again
+    state.pool_cross *= 1.0 - gamma
+    col *= gamma
+    state.pool_cross += col
     state._refresh_inner_products()
     return True
 

@@ -151,15 +151,22 @@ class TestLineSearch:
 
 
 class TestColumnBuffer:
-    def run_fcfw_checked(self, p, k, pool, iters):
-        """FCFW steps, checking the running correlation after each one."""
-        state = QuadratureState(p, k, pool, col_capacity=iters)
+    def run_checked(self, p, k, pool, iters, variant=FwVariant.FCFW):
+        """Steps of one rule, checking the running correlation after each one.
+
+        Returns the state and the number of steps whose vertex was already
+        chosen.
+        """
+        cap = iters if variant is FwVariant.FCFW else 0
+        state = QuadratureState(p, k, pool, col_capacity=cap)
         known_steps = 0
         for _ in range(iters):
             before = state.n_chosen
             known = fw_vertex_search(state) in state.idxs
-            _advance(state, FwVariant.FCFW)
-            assert state.n_chosen == before + (0 if known else 1)
+            progressed = _advance(state, variant)
+            # FW keeps duplicates as separate atoms; the other rules re-weight
+            appended = progressed and (variant is FwVariant.FW or not known)
+            assert state.n_chosen == before + appended
             known_steps += known
             sel = state.pool[np.asarray(state.idxs)]
             expected = kernel_cross(state.pool, sel, k) @ state.weights
@@ -171,15 +178,45 @@ class TestColumnBuffer:
         p = random_mixture(rng)
         k = KernelConfig(0.8, 2)
         pool, _ = p.sample(200, rng)
-        state, _ = self.run_fcfw_checked(p, k, pool, iters=15)
+        state, _ = self.run_checked(p, k, pool, iters=15)
         assert state.cols.shape == (15, 200)
 
     def test_fcfw_known_vertex_appends_no_row(self):
         # five pool points and eight steps: the search must return a chosen atom
         p = std_normal_1d()
         pool = np.linspace(-2.0, 2.0, 5)[:, None]
-        _, known_steps = self.run_fcfw_checked(p, UNIT_1D, pool, iters=8)
+        _, known_steps = self.run_checked(p, UNIT_1D, pool, iters=8)
         assert known_steps >= 3
+
+    @pytest.mark.parametrize("variant", [FwVariant.FW, FwVariant.FW_LS])
+    def test_in_place_pool_cross_matches_recomputation(self, variant):
+        rng = np.random.default_rng(24)
+        p = random_mixture(rng)
+        k = KernelConfig(0.8, 2)
+        pool, _ = p.sample(200, rng)
+        state, _ = self.run_checked(p, k, pool, iters=15, variant=variant)
+        assert state.cols is None
+
+    @pytest.mark.parametrize("variant", [FwVariant.FW, FwVariant.FW_LS])
+    def test_in_place_pool_cross_on_known_vertices(self, variant):
+        # a five-point pool forces repeat vertices: FW appends a duplicate
+        # atom, FW-LS re-weights the chosen one (the `known` branch)
+        p = std_normal_1d()
+        pool = np.linspace(-2.0, 2.0, 5)[:, None]
+        _, known_steps = self.run_checked(p, UNIT_1D, pool, iters=8, variant=variant)
+        assert known_steps >= 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_column_bit_identical_to_kernel_cross(self, d):
+        rng = np.random.default_rng(40 + d)
+        p = random_mixture(rng, dim=d)
+        k = KernelConfig(0.7, d)
+        pool, _ = p.sample(501, rng)
+        state = QuadratureState(p, k, pool)
+        idx = 250
+        assert np.array_equal(
+            state._column(idx), kernel_cross(pool, pool[idx][None], k)[:, 0]
+        )
 
     def test_only_fcfw_allocates_columns(self, monkeypatch):
         # the package binds herdfilter.fw_quad to the function, not the module
@@ -204,6 +241,15 @@ class TestColumnBuffer:
         state = QuadratureState(std_normal_1d(), UNIT_1D, np.linspace(-1, 1, 5)[:, None])
         with pytest.raises(ValueError):
             _advance(state, FwVariant.FCFW)
+
+    def test_non_finite_pool_named(self):
+        # the column path trusts the pool, so the state must reject it up front
+        pool = np.linspace(-1.0, 1.0, 5)[:, None]
+        pool[2, 0] = np.nan
+        with pytest.raises(ValueError, match="pool"):
+            QuadratureState(std_normal_1d(), UNIT_1D, pool)
+        with pytest.raises(ValueError, match="pool"):
+            fw_quad(std_normal_1d(), UNIT_1D, 2, 5, pool=pool)
 
 
 class TestSimplexQp:
@@ -272,6 +318,17 @@ class TestSimplexQp:
             SimplexQp(np.eye(2), [0.5, 2.0])
         with pytest.raises(ValueError):
             SimplexQp(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.5, 0.5])
+
+    def test_unvalidated_gram_still_checks_linear(self):
+        # validate=False trusts the Gram matrix but not the O(k) linear term
+        qp = SimplexQp(np.array([[1.0, 0.5], [0.4, 1.0]]), [0.5, 0.5], validate=False)
+        assert qp.linear.shape == (2,)
+        with pytest.raises(ValueError):
+            SimplexQp(np.eye(2), [0.5, 2.0], validate=False)
+        with pytest.raises(ValueError):
+            SimplexQp(np.eye(2), [np.nan, 0.5], validate=False)
+        with pytest.raises(ValueError):
+            SimplexQp(np.eye(3), [0.5, 0.5], validate=False)
 
 
 class TestFwQuad:
