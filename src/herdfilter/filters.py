@@ -131,21 +131,25 @@ def build_transition_mixture(
     component weights are the normalized products of posterior weight and
     per-particle transition weight.
     """
-    pts = particles.points
-    log_o = model.log_likelihood_batch(pts, y, t, modes=particles.modes)
-    parts = model.transition_parts(pts, t, modes=particles.modes)
-    return _expand(particles, log_o, parts, t)
+    return _expand(
+        *_weigh(particles, model, t, y),
+        model.transition_parts(particles.points, t, modes=particles.modes),
+    )
 
 
-def _expand(
-    particles: WeightedParticleSet, log_o, parts: TransitionParts, t: int
-) -> TransitionMixture:
-    """Weigh the particles by their log-likelihoods and expand the transition.
+def _weigh(particles: WeightedParticleSet, model: StateSpaceModel, t: int, y):
+    """Posterior particle set and log evidence increment after folding in y."""
+    log_o = model.log_likelihood_batch(particles.points, y, t, modes=particles.modes)
+    return _reweigh(particles, log_o, t)
+
+
+def _reweigh(particles: WeightedParticleSet, log_o, t: int):
+    """Weigh the particles by their log-likelihoods.
 
     The log weights log w_i + log o_t(x_i) are normalized by log-sum-exp, so
-    likelihoods far below the float range still give a posterior. Raises
-    DegenerateFilterError when every log weight is -inf and NumericalError
-    on NaN or +inf.
+    likelihoods far below the float range still give a posterior. Returns
+    (posterior, log evidence increment). Raises DegenerateFilterError when
+    every log weight is -inf and NumericalError on NaN or +inf.
     """
     with np.errstate(divide="ignore"):
         log_w = np.log(particles.weights) + log_o
@@ -160,9 +164,16 @@ def _expand(
     posterior = WeightedParticleSet(
         particles.points, post_w, ancestry=particles.ancestry, modes=particles.modes
     )
+    return posterior, top + float(np.log(total))
+
+
+def _expand(
+    posterior: WeightedParticleSet, log_w_hat: float, parts: TransitionParts
+) -> TransitionMixture:
+    """Expand the posterior through the transition parts into the next mixture."""
     n, c = parts.comp_weights.shape
     mix = GaussianMixture(
-        (post_w[:, None] * parts.comp_weights).reshape(-1),
+        (posterior.weights[:, None] * parts.comp_weights).reshape(-1),
         parts.means.reshape(n * c, -1),
         parts.cov_blocks,
         np.tile(parts.cov_index, n),
@@ -172,7 +183,7 @@ def _expand(
         ancestors=np.repeat(np.arange(n), c),
         new_modes=None if parts.new_modes is None else np.tile(parts.new_modes, n),
         posterior=posterior,
-        log_w_hat=top + float(np.log(total)),
+        log_w_hat=log_w_hat,
     )
 
 
@@ -311,13 +322,14 @@ class FilterTrace:
             )
 
 
-def _run(step, init: TransitionMixture, y, sampler, n, k, seed, keep_particles):
+def _run(weigh, step, init: TransitionMixture, y, sampler, n, k, seed, keep_particles):
     """The filter template shared by run_filter and run_rbpf.
 
-    step(p_hat, t, y_t) folds y_t into the predictive set p_hat and returns
-    the transition mixture the next predictive set is drawn from, carrying
-    the posterior and the log evidence increment; init is the mixture for
-    t=1.
+    weigh(p_hat, t, y_t) folds y_t into the predictive set p_hat and returns
+    (posterior, log evidence increment); step(p_hat, t, y_t) does the same
+    and returns the transition mixture the next predictive set is drawn
+    from, carrying both. The last step only weighs, since no predictive set
+    follows it. init is the mixture for t=1.
     """
     T = y.shape[0]
     dim = init.mixture.dim
@@ -331,14 +343,17 @@ def _run(step, init: TransitionMixture, y, sampler, n, k, seed, keep_particles):
 
     p_hat, fw_err = pf_step(sampler, init, n, k, [seed, 1], stream)
     for t in range(1, T + 1):
-        tm = step(p_hat, t, y[t - 1])
-        log_incs[t - 1] = tm.log_w_hat
+        if t < T:
+            tm = step(p_hat, t, y[t - 1])
+            post, log_incs[t - 1] = tm.posterior, tm.log_w_hat
+        else:
+            post, log_incs[t - 1] = weigh(p_hat, t, y[t - 1])
         fw_errors[t - 1] = fw_err
         effective_n[t - 1] = p_hat.n
-        filtered_means[t - 1] = tm.posterior.mean()
+        filtered_means[t - 1] = post.mean()
         if keep_particles:
             predictive.append(p_hat)
-            posterior.append(tm.posterior)
+            posterior.append(post)
         if t < T:
             p_hat, fw_err = pf_step(sampler, tm, n, k, [seed, t + 1], stream)
     return FilterTrace(
@@ -378,10 +393,15 @@ def run_filter(
     if k.dim != model.dim_x:
         raise ValueError("kernel dimension must match the state dimension")
 
+    def weigh(p_hat, t, y_t):
+        return _weigh(p_hat, model, t, y_t)
+
     def step(p_hat, t, y_t):
         return build_transition_mixture(p_hat, model, t, y_t)
 
-    return _run(step, _initial_mixture(model), y, sampler, n, k, seed, keep_particles)
+    return _run(
+        weigh, step, _initial_mixture(model), y, sampler, n, k, seed, keep_particles
+    )
 
 
 @dataclass
@@ -424,33 +444,41 @@ def run_rbpf(
     q = np.asarray(params.lin_process_cov, dtype=float)
     drift_cov = np.array([[[params.drift_var]]])
     one_block = np.zeros(1, dtype=np.intp)
-    # z-beliefs, time-updated, of the particles the next predictive set
-    # descends from; p_hat.ancestry indexes them
+    # z-beliefs of the particles the next predictive set descends from;
+    # p_hat.ancestry indexes them. weigh leaves them measurement-updated and
+    # step then time-updates them.
     z_means = np.asarray(params.init_z_mean, dtype=float)[None]
     z_covs = np.asarray(params.init_z_cov, dtype=float)[None]
     z_posteriors: list[GaussianMixture] = []
 
-    def step(p_hat, t, y_t):
+    def weigh(p_hat, t, y_t):
         nonlocal z_means, z_covs
         xs = p_hat.points[:, 0]
-        m = xs.shape[0]
         means, covs, log_o = _gauss_update(
             z_means[p_hat.ancestry], z_covs[p_hat.ancestry],
             params.lin_obs(xs), r, (y_t - params.obs_offset(xs))[:, None],
         )
-        drift = TransitionParts(
-            np.ones((m, 1)), params.drift(xs, t)[:, None, None], drift_cov, one_block
-        )
-        tm = _expand(p_hat, log_o, drift, t)
+        posterior, log_inc = _reweigh(p_hat, log_o, t)
         z_posteriors.append(
-            GaussianMixture(tm.posterior.weights, means, covs, np.arange(m))
+            GaussianMixture(posterior.weights, means, covs, np.arange(xs.shape[0]))
         )
-        z_means, z_covs = _gauss_predict(means, covs, params.lin_trans(xs), q)
-        return tm
+        z_means, z_covs = means, covs
+        return posterior, log_inc
+
+    def step(p_hat, t, y_t):
+        nonlocal z_means, z_covs
+        posterior, log_inc = weigh(p_hat, t, y_t)
+        xs = p_hat.points[:, 0]
+        drift = TransitionParts(
+            np.ones((xs.shape[0], 1)), params.drift(xs, t)[:, None, None],
+            drift_cov, one_block,
+        )
+        z_means, z_covs = _gauss_predict(z_means, z_covs, params.lin_trans(xs), q)
+        return _expand(posterior, log_inc, drift)
 
     init = TransitionMixture(
         GaussianMixture([1.0], [[params.init_x_mean]], [[[params.init_x_var]]]),
         np.zeros(1, dtype=np.intp),
     )
-    trace = _run(step, init, y, sampler, n, k, seed, keep_particles)
+    trace = _run(weigh, step, init, y, sampler, n, k, seed, keep_particles)
     return RbpfResult(trace, z_posteriors)

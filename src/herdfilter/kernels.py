@@ -214,12 +214,18 @@ class GaussianMixture:
         """Points from component uniforms u (n,) and standard normals z (n, d).
 
         Each u picks a component by inverse CDF over the weights in storage
-        order; its z goes through that component's covariance factor.
+        order; its z goes through that component's covariance factor. With
+        one covariance block, as in every transition mixture of the built-in
+        models, that factor multiplies z directly, with no (n, d, d) gather.
         Returns (points, comps) like sample.
         """
         comps = _inverse_cdf(self.weights, u)
-        factors = self.chol_factors[self.cov_map[comps]]
-        return self.means[comps] + np.einsum("nij,nj->ni", factors, z), comps
+        if self.covs.shape[0] == 1:
+            shift = np.einsum("ij,nj->ni", self.chol_factors[0], z)
+        else:
+            factors = self.chol_factors[self.cov_map[comps]]
+            shift = np.einsum("nij,nj->ni", factors, z)
+        return self.means[comps] + shift, comps
 
     def pdf(self, x) -> np.ndarray:
         """Mixture density at each row of x."""

@@ -1,7 +1,10 @@
 """Sobol low-discrepancy sequences and the inverse-transform mixture sampler.
 
 The generator is the classic Gray-code construction over 32-bit direction
-integers, evaluated in closed form at every requested position at once.
+integers (Antonov & Saleev 1979; Bratley & Fox, ACM TOMS Algorithm 659):
+each point is the one before it XOR the direction integer at the lowest set
+bit of its position, so a take evaluates its first point in closed form and
+the rest by one cumulative XOR. The recurrence is exact, being integer XOR.
 Direction numbers are the published Joe and Kuo "new-joe-kuo-6" values,
 embedded below for dimensions up to 21; dimension 1 is the van der Corput
 sequence in base 2. Randomization is done by starting the sequence at
@@ -90,7 +93,8 @@ class SobolStream:
             raise ValueError(f"offset must be in [0, 2^{_BITS}), got {offset}")
         self.dim = dim
         self.offset = offset
-        self._v = _direction_integers(dim)
+        # (_BITS, dim): row k holds each dimension's direction integer k
+        self._dirs = np.ascontiguousarray(_direction_integers(dim).T)
         self._pos = offset  # sequence position of the next emitted point
 
     @property
@@ -99,21 +103,30 @@ class SobolStream:
         return self._pos - self.offset
 
     def take(self, n: int) -> np.ndarray:
-        """Emit the next n points as an (n, dim) array."""
+        """Emit the next n points as an (n, dim) array.
+
+        Point p is point p-1 XOR the direction integers at the lowest set bit
+        of p (Gray-code recurrence); only the first point of a take is formed
+        from all the set bits of its Gray code. Integer XOR is exact, so any
+        split of a run into takes gives the same points.
+        """
         if n < 0:
             raise ValueError("n must be >= 0")
         if self._pos + n > _MAX_INDEX:
             raise NumericalError(
                 f"Sobol index overflow: position {self._pos + n} exceeds 2^{_BITS}"
             )
-        # the point at position p XORs the direction integers over the set
-        # bits of its Gray code p ^ (p >> 1)
-        pos = np.arange(self._pos, self._pos + n, dtype=np.uint64)
-        gray = pos ^ (pos >> np.uint64(1))
-        ints = np.zeros((n, self.dim), dtype=np.uint64)
-        for k in range(_BITS):
-            bit = (gray >> np.uint64(k)) & np.uint64(1)
-            ints ^= bit[:, None] * self._v[:, k]
+        p0 = self._pos
+        g = p0 ^ (p0 >> 1)  # Gray code of the first position
+        ints = np.empty((n, self.dim), dtype=np.uint64)
+        if n:
+            ints[0] = np.bitwise_xor.reduce(
+                self._dirs[[k for k in range(_BITS) if (g >> k) & 1]], axis=0
+            )
+            pos = np.arange(p0 + 1, p0 + n, dtype=np.uint64)
+            ctz = np.bitwise_count(pos ^ (pos - np.uint64(1))) - 1  # lowest set bit
+            ints[1:] = self._dirs[ctz]
+            np.bitwise_xor.accumulate(ints, axis=0, out=ints)
         self._pos += n
         out = ints.astype(float)
         out /= float(_MAX_INDEX)
@@ -137,10 +150,16 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _acklam(u: np.ndarray) -> np.ndarray:
-    x = np.empty_like(u)
-    lo = u < _ACK_SPLIT
-    hi = u > 1.0 - _ACK_SPLIT
-    mid = ~(lo | hi)
+    # The central rational runs on every point (its denominator stays above
+    # 1e-4 on the tails too); the tail rational then overwrites the ~5% of
+    # points outside [_ACK_SPLIT, 1 - _ACK_SPLIT].
+    q = u - 0.5
+    r = q * q
+    num = ((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r
+           + _ACK_A[4]) * r + _ACK_A[5]
+    den = ((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r
+           + _ACK_B[4]) * r + 1.0
+    x = q * num / den
 
     def _tail(q):
         num = ((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q
@@ -148,18 +167,12 @@ def _acklam(u: np.ndarray) -> np.ndarray:
         den = (((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0
         return num / den
 
+    lo = u < _ACK_SPLIT
+    hi = u > 1.0 - _ACK_SPLIT
     if lo.any():
         x[lo] = _tail(np.sqrt(-2.0 * np.log(u[lo])))
     if hi.any():
         x[hi] = -_tail(np.sqrt(-2.0 * np.log(1.0 - u[hi])))
-    if mid.any():
-        q = u[mid] - 0.5
-        r = q * q
-        num = ((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r
-               + _ACK_A[4]) * r + _ACK_A[5]
-        den = ((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r
-               + _ACK_B[4]) * r + 1.0
-        x[mid] = q * num / den
     return x
 
 
@@ -170,18 +183,16 @@ def inverse_normal_cdf(u):
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).copy()
+    flat = np.ascontiguousarray(arr)  # at least 1-d
     if np.any(flat <= 0.0) or np.any(flat >= 1.0):
         raise ValueError("inverse_normal_cdf requires u strictly inside (0, 1)")
     x = _acklam(flat)
     # Newton step. Residuals use the tail that avoids cancellation: 1-u is
-    # exact in floating point for u in [0.5, 1].
+    # exact in floating point for u in [0.5, 1]. One erfc per point gives
+    # the upper tail Q(x) for u > 0.5 and Phi(x) = Q(-x) otherwise.
     upper = flat > 0.5
-    err = np.where(
-        upper,
-        (1.0 - flat) - 0.5 * erfc(x / _SQRT2),
-        0.5 * erfc(-x / _SQRT2) - flat,
-    )
+    tail = 0.5 * erfc(np.where(upper, x, -x) / _SQRT2)
+    err = np.where(upper, (1.0 - flat) - tail, tail - flat)
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     step = np.zeros_like(x)
     np.divide(err, pdf, out=step, where=pdf > 0.0)

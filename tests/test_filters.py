@@ -291,7 +291,11 @@ def _draw_mixtures():
     )
     g = rng.normal(size=(6, 2, 2))
     full = GaussianMixture(w[::-1], means, g @ np.swapaxes(g, 1, 2) + 0.1 * np.eye(2))
-    return [shared, full]
+    # one full, non-diagonal 3-d block shared by every component
+    h = rng.normal(size=(3, 3))
+    one_block = GaussianMixture(w, rng.normal(size=(6, 3)), h @ h.T + 0.1 * np.eye(3))
+    assert one_block.covs.shape[0] == 1 and np.all(one_block.covs[0] != 0.0)
+    return [shared, full, one_block]
 
 
 def _inline_draw(mix, u, z):
@@ -311,26 +315,28 @@ class TestMixtureDraw:
             pts, comps = mix.sample(40, np.random.default_rng(3))
             rng = np.random.default_rng(3)
             u = rng.random(40)
-            want_pts, want_comps = _inline_draw(mix, u, rng.standard_normal((40, 2)))
+            z = rng.standard_normal((40, mix.dim))
+            want_pts, want_comps = _inline_draw(mix, u, z)
             assert np.array_equal(pts, want_pts)
             assert np.array_equal(comps, want_comps)
 
     def test_stratified(self):
         for mix in _draw_mixtures():
             tm = TransitionMixture(mix, np.arange(mix.n_components))
-            out, _ = pf_step(MC_STRATIFIED, tm, 40, K2, 5)
+            out, _ = pf_step(MC_STRATIFIED, tm, 40, KernelConfig(1.0, mix.dim), 5)
             rng = np.random.default_rng(5)
             u = (np.arange(40) + rng.random()) / 40
-            want_pts, want_comps = _inline_draw(mix, u, rng.standard_normal((40, 2)))
+            z = rng.standard_normal((40, mix.dim))
+            want_pts, want_comps = _inline_draw(mix, u, z)
             assert np.array_equal(out.points, want_pts)
             assert np.array_equal(out.ancestry, want_comps)
 
     def test_qmc(self):
         for mix in _draw_mixtures():
-            out = qmc_sample_mixture(mix, 40, SobolStream(3))
-            u = SobolStream(3).take(40)
-            z = inverse_normal_cdf(u[:, :2])
-            want_pts, want_comps = _inline_draw(mix, u[:, 2], z)
+            d = mix.dim
+            out = qmc_sample_mixture(mix, 40, SobolStream(d + 1))
+            u = SobolStream(d + 1).take(40)
+            want_pts, want_comps = _inline_draw(mix, u[:, d], inverse_normal_cdf(u[:, :d]))
             assert np.array_equal(out.points, want_pts)
             assert np.array_equal(out.ancestry, want_comps)
 
@@ -518,6 +524,48 @@ class TestRunFilter:
         assert float(row[4]) == tr.filtered_means[0, 0]
         assert float(row[7]) == tr.log_evidence[0]
         assert int(row[9]) == tr.effective_n[0]
+
+
+def _counting(fn, calls, name):
+    def wrapped(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestLastStep:
+    """No predictive set follows step T, so nothing is expanded there."""
+
+    def test_filter_builds_no_transition_at_last_step(self):
+        model, _ = make_lgss(6, d=2, m=1)
+        traj = simulate(model, 5, seed=1)
+        calls = {}
+        counted = dataclasses.replace(
+            model,
+            transition_parts=_counting(model.transition_parts, calls, "parts"),
+            log_likelihood_batch=_counting(model.log_likelihood_batch, calls, "lik"),
+        )
+        tr = run_filter(counted, traj.observations, MC_STRATIFIED, 30, K2, seed=0)
+        assert calls == {"parts": 4, "lik": 5}
+        # the last posterior is the one the full step would have carried
+        last = build_transition_mixture(
+            tr.predictive[-1], model, 5, traj.observations[-1]
+        )
+        np.testing.assert_array_equal(tr.posterior[-1].weights, last.posterior.weights)
+        assert tr.w_hats[-1] == np.exp(last.log_w_hat)
+
+    def test_rbpf_skips_last_time_update(self):
+        cm, cp = make_clgss(0, coupled=True)
+        traj = simulate(cm, 6, seed=4)
+        calls = {}
+        counted = dataclasses.replace(cp, **{
+            f: _counting(getattr(cp, f), calls, f)
+            for f in ("drift", "lin_trans", "lin_obs", "obs_offset")
+        })
+        res = run_rbpf(counted, traj.observations, MC_STRATIFIED, 30, K1, seed=0)
+        assert calls == {"drift": 5, "lin_trans": 5, "lin_obs": 6, "obs_offset": 6}
+        assert len(res.z_posteriors) == 6
 
 
 class TestRunRbpf:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import erfc, ndtr, ndtri
 from scipy.stats import qmc as scipy_qmc
 
 from herdfilter import GaussianMixture, KernelConfig, NumericalError, mmd
@@ -66,6 +68,50 @@ class TestSobolStream:
                     self.gray_code_recurrence(d, offset, n),
                 )
 
+    @staticmethod
+    def closed_form(dim, offset, n):
+        """Every point at once: XOR of the direction integers over the set
+        bits of the Gray code p ^ (p >> 1) of its position p."""
+        v = _direction_integers(dim)
+        pos = np.arange(offset, offset + n, dtype=np.uint64)
+        gray = pos ^ (pos >> np.uint64(1))
+        ints = np.zeros((n, dim), dtype=np.uint64)
+        for k in range(32):
+            bit = (gray >> np.uint64(k)) & np.uint64(1)
+            ints ^= bit[:, None] * v[:, k]
+        return ints.astype(float) / float(1 << 32)
+
+    def test_matches_closed_form_across_high_bits(self):
+        # 70000 points from 2^16 - 5 cross the flips of bits 16 and 17
+        offset = (1 << 16) - 5
+        np.testing.assert_array_equal(
+            SobolStream(4, offset=offset).take(70000),
+            self.closed_form(4, offset, 70000),
+        )
+
+    def test_matches_closed_form_up_to_last_position(self):
+        # the take ends on position 2^32 - 1, whose lowest set bit is bit 0
+        for d, n in ((2, 1), (2, 4096), (21, 300)):
+            offset = (1 << 32) - n
+            s = SobolStream(d, offset=offset)
+            np.testing.assert_array_equal(s.take(n), self.closed_form(d, offset, n))
+            assert s.take(0).shape == (0, d)
+
+    def test_matches_closed_form_on_empty_and_single_takes(self):
+        for offset in (0, 1, 2, 1 << 20, (1 << 31) + 3):
+            s = SobolStream(3, offset=offset)
+            assert s.take(0).shape == (0, 3)
+            np.testing.assert_array_equal(s.take(1), self.closed_form(3, offset, 1))
+            np.testing.assert_array_equal(s.take(1), self.closed_form(3, offset + 1, 1))
+            assert s.index == 2
+
+    def test_split_takes_match_closed_form(self):
+        for offset in (1, (1 << 16) - 3, (1 << 32) - 5000):
+            s = SobolStream(5, offset=offset)
+            sizes = (1, 0, 2, 997, 1, 3000)
+            got = np.concatenate([s.take(m) for m in sizes])
+            np.testing.assert_array_equal(got, self.closed_form(5, offset, sum(sizes)))
+
     def test_split_takes_continue_the_stream(self):
         for offset in (1, 12345, (1 << 32) - 12):
             s = SobolStream(3, offset=offset)
@@ -123,6 +169,61 @@ class TestInverseNormalCdf:
         np.testing.assert_allclose(
             inverse_normal_cdf(1.0 - u), -inverse_normal_cdf(u), atol=1e-12
         )
+
+    @staticmethod
+    def two_erfc_formula(u):
+        """Acklam's rational on gathered central and tail points, then one
+        Newton step that evaluates erfc for both tails at every point."""
+        a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+        b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+             6.680131188771972e+01, -1.328068155288572e+01)
+        c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+        d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+             3.754408661907416e+00)
+
+        def tail(q):
+            num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+            den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+            return num / den
+
+        x = np.empty_like(u)
+        lo, hi = u < 0.02425, u > 1.0 - 0.02425
+        mid = ~(lo | hi)
+        x[lo] = tail(np.sqrt(-2.0 * np.log(u[lo])))
+        x[hi] = -tail(np.sqrt(-2.0 * np.log(1.0 - u[hi])))
+        q = u[mid] - 0.5
+        r = q * q
+        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
+        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        x[mid] = q * num / den
+        sqrt2 = math.sqrt(2.0)
+        err = np.where(
+            u > 0.5,
+            (1.0 - u) - 0.5 * erfc(x / sqrt2),
+            0.5 * erfc(-x / sqrt2) - u,
+        )
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        step = np.zeros_like(x)
+        np.divide(err, pdf, out=step, where=pdf > 0.0)
+        return x - step
+
+    def test_bit_identical_to_two_erfc_formula(self):
+        splits = []
+        for s in (0.02425, 0.97575, 0.5):
+            splits += [np.nextafter(s, 0.0), s, np.nextafter(s, 1.0)]
+        u = np.concatenate([
+            [1e-300, 1.0 - 2.0 ** -53, 5e-324, 1e-17],
+            splits,
+            SobolStream(1, offset=1).take(20000).ravel(),
+        ])
+        np.testing.assert_array_equal(inverse_normal_cdf(u), self.two_erfc_formula(u))
+        block = SobolStream(3, offset=101).take(20000)
+        np.testing.assert_array_equal(
+            inverse_normal_cdf(block), self.two_erfc_formula(block.ravel()).reshape(block.shape)
+        )
+        assert inverse_normal_cdf(0.5) == self.two_erfc_formula(np.array([0.5]))[0] == 0.0
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
