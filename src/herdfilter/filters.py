@@ -325,11 +325,11 @@ class FilterTrace:
 def _run(weigh, step, init: TransitionMixture, y, sampler, n, k, seed, keep_particles):
     """The filter template shared by run_filter and run_rbpf.
 
-    weigh(p_hat, t, y_t) folds y_t into the predictive set p_hat and returns
-    (posterior, log evidence increment); step(p_hat, t, y_t) does the same
-    and returns the transition mixture the next predictive set is drawn
-    from, carrying both. The last step only weighs, since no predictive set
-    follows it. init is the mixture for t=1.
+    step(p_hat, t, y_t) folds y_t into the predictive set p_hat and returns
+    the transition mixture the next predictive set is drawn from, carrying
+    the posterior and the log evidence increment. No predictive set follows
+    t = T, so there weigh(p_hat, T, y_T) only returns (posterior, log
+    evidence increment). init is the mixture for t=1.
     """
     T = y.shape[0]
     dim = init.mixture.dim
@@ -341,21 +341,21 @@ def _run(weigh, step, init: TransitionMixture, y, sampler, n, k, seed, keep_part
     predictive: list | None = [] if keep_particles else None
     posterior: list | None = [] if keep_particles else None
 
-    p_hat, fw_err = pf_step(sampler, init, n, k, [seed, 1], stream)
-    for t in range(1, T + 1):
-        if t < T:
-            tm = step(p_hat, t, y[t - 1])
-            post, log_incs[t - 1] = tm.posterior, tm.log_w_hat
-        else:
-            post, log_incs[t - 1] = weigh(p_hat, t, y[t - 1])
+    def record(t, p_hat, post, log_inc, fw_err):
+        log_incs[t - 1] = log_inc
         fw_errors[t - 1] = fw_err
         effective_n[t - 1] = p_hat.n
         filtered_means[t - 1] = post.mean()
         if keep_particles:
             predictive.append(p_hat)
             posterior.append(post)
-        if t < T:
-            p_hat, fw_err = pf_step(sampler, tm, n, k, [seed, t + 1], stream)
+
+    p_hat, fw_err = pf_step(sampler, init, n, k, [seed, 1], stream)
+    for t in range(1, T):
+        tm = step(p_hat, t, y[t - 1])
+        record(t, p_hat, tm.posterior, tm.log_w_hat, fw_err)
+        p_hat, fw_err = pf_step(sampler, tm, n, k, [seed, t + 1], stream)
+    record(T, p_hat, *weigh(p_hat, T, y[T - 1]), fw_err)
     return FilterTrace(
         method=sampler.label,
         n=n,
@@ -444,15 +444,14 @@ def run_rbpf(
     q = np.asarray(params.lin_process_cov, dtype=float)
     drift_cov = np.array([[[params.drift_var]]])
     one_block = np.zeros(1, dtype=np.intp)
-    # z-beliefs of the particles the next predictive set descends from;
-    # p_hat.ancestry indexes them. weigh leaves them measurement-updated and
-    # step then time-updates them.
+    # z-beliefs, time-updated, of the particles the next predictive set
+    # descends from; p_hat.ancestry indexes them
     z_means = np.asarray(params.init_z_mean, dtype=float)[None]
     z_covs = np.asarray(params.init_z_cov, dtype=float)[None]
     z_posteriors: list[GaussianMixture] = []
 
-    def weigh(p_hat, t, y_t):
-        nonlocal z_means, z_covs
+    def measure(p_hat, t, y_t):
+        """Posterior, log evidence increment and measurement-updated z-beliefs."""
         xs = p_hat.points[:, 0]
         means, covs, log_o = _gauss_update(
             z_means[p_hat.ancestry], z_covs[p_hat.ancestry],
@@ -462,18 +461,20 @@ def run_rbpf(
         z_posteriors.append(
             GaussianMixture(posterior.weights, means, covs, np.arange(xs.shape[0]))
         )
-        z_means, z_covs = means, covs
-        return posterior, log_inc
+        return posterior, log_inc, means, covs
+
+    def weigh(p_hat, t, y_t):
+        return measure(p_hat, t, y_t)[:2]
 
     def step(p_hat, t, y_t):
         nonlocal z_means, z_covs
-        posterior, log_inc = weigh(p_hat, t, y_t)
+        posterior, log_inc, means, covs = measure(p_hat, t, y_t)
         xs = p_hat.points[:, 0]
         drift = TransitionParts(
             np.ones((xs.shape[0], 1)), params.drift(xs, t)[:, None, None],
             drift_cov, one_block,
         )
-        z_means, z_covs = _gauss_predict(z_means, z_covs, params.lin_trans(xs), q)
+        z_means, z_covs = _gauss_predict(means, covs, params.lin_trans(xs), q)
         return _expand(posterior, log_inc, drift)
 
     init = TransitionMixture(

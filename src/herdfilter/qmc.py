@@ -124,8 +124,10 @@ class SobolStream:
                 self._dirs[[k for k in range(_BITS) if (g >> k) & 1]], axis=0
             )
             pos = np.arange(p0 + 1, p0 + n, dtype=np.uint64)
-            ctz = np.bitwise_count(pos ^ (pos - np.uint64(1))) - 1  # lowest set bit
-            ints[1:] = self._dirs[ctz]
+            # pos ^ (pos - 1) is 2^(k+1) - 1 for the lowest set bit k of pos;
+            # it is exact as a float, so frexp's exponent is k + 1
+            low = np.frexp((pos ^ (pos - np.uint64(1))).astype(float))[1] - 1
+            np.take(self._dirs, low, axis=0, out=ints[1:])
             np.bitwise_xor.accumulate(ints, axis=0, out=ints)
         self._pos += n
         out = ints.astype(float)
