@@ -82,7 +82,12 @@ QMC_SOBOL = SamplerKind("qmc_sobol")
 
 
 def skh(variant: FwVariant, m_search: int) -> SamplerKind:
-    """Kernel-herding sampler with the given step rule and pool size."""
+    """Kernel-herding sampler with the given step rule and pool size.
+
+    Each step draws m_search pool points from the transition mixture and
+    evaluates its closed-form mean map there in row tiles of about 1 MB, so
+    no m_search x K block is built for a K-component mixture.
+    """
     return SamplerKind("skh", variant=variant, m_search=m_search)
 
 

@@ -8,17 +8,22 @@ with the running correlation sum_i w_i kappa(x_i, .) maintained incrementally
 so a full run costs O(NM) kernel evaluations (O(N^2 M) for the corrective
 variant).
 
-Beyond the pool and the n x n Gram matrix, FW and FW-LS keep O(M) floats:
-they fold each new atom's kernel column into the running correlation and drop
-it. The fully corrective variant re-weights every atom after each step, so it
-keeps every chosen atom's column in one n x M buffer allocated up front (8nM
-bytes: 32 MB at n=200, M=20000) and rebuilds the correlation with one
-vector-matrix product.
+Beyond the pool and the n x n Gram matrix, FW and FW-LS keep O(M) floats.
+Set-up evaluates the target's closed-form mean map at the pool in row tiles
+of about 1 MB (kernels._TILE_BYTES), never as an M x K block for a K-component
+target, and the loop folds each new atom's kernel column into the running
+correlation and drops it. The fully corrective variant re-weights every atom
+after each step, so it keeps every chosen atom's column in one n x M buffer
+allocated up front (8nM bytes: 32 MB at n=200, M=20000) and rebuilds the
+correlation with one vector-matrix product. When its simplex QP stops short of
+tolerance it carries on from the best iterate, if that lowers the objective,
+and says so with a RuntimeWarning.
 """
 
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,6 +367,7 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
             state._append_atom(idx, col)
         qp = SimplexQp(state.gram, state.mu_sel, validate=False)
         f_old = _objective(qp, state.weights) if not first else np.inf
+        residual = None
         try:
             w_new = simplex_qp_solve(qp, tol=_QP_TOL, w0=None if first else state.weights)
         except QpConvergenceError as e:
@@ -369,11 +375,19 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
             # residual stalls at the solve-noise floor; the best iterate is
             # still a strict improvement or gets rejected just below
             w_new = e.best
+            residual = e.residual
         f_new = _objective(qp, w_new)
-        if f_new > f_old + 1e-15:
+        rejected = f_new > f_old + 1e-15
+        if rejected:
             # never accept a worse corrective step than the warm start
             w_new = state.weights
             f_new = f_old
+        if residual is not None:
+            warnings.warn(
+                f"FCFW corrective QP stopped at KKT residual {residual:.3e}; "
+                f"its best iterate was {'rejected' if rejected else 'kept'}",
+                RuntimeWarning, stacklevel=3,
+            )
         no_progress = known and f_new >= f_old - 1e-15
         state.weights = w_new
         state.pool_cross = state.weights @ state.cols[:state.n_chosen]

@@ -30,6 +30,10 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 _MMD_CLAMP = -1e-10
 _JITTER_SCALE = 1e-12
+# _exp_dot's row tiles: about 1 MB of float64 each, a multiple of
+# _ROW_GROUP rows
+_TILE_BYTES = 1 << 20
+_ROW_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -240,11 +244,12 @@ class GaussianMixture:
         """sum_i w_i c_i exp(-mahal^2(pts; mu_i, Sigma_i + var_shift I) / 2).
 
         c_i is the Gaussian normalizer when ``normalized``, else sigma^d / |L_i|
-        (the kernel mean-map coefficient).
+        (the kernel mean-map coefficient). The M x K exponent block is never
+        built whole: _exp_dot walks pts in row tiles of about _TILE_BYTES, so
+        beyond the (M,) result and, per covariance block, the (M, d) whitened
+        points, a call holds one tile.
         """
-        k_, d = self.means.shape
-        m = pts.shape[0]
-        out = np.zeros(m)
+        d = self.dim
         if self._iso_var is not None:
             t = self._iso_var[self.cov_map] + var_shift  # (K,)
             if np.any(t <= 0.0):
@@ -253,10 +258,8 @@ class GaussianMixture:
                 coef = (2.0 * np.pi * t) ** (-0.5 * d)
             else:
                 coef = (sigma * sigma / t) ** (0.5 * d)
-            d2 = cdist(pts, self.means, "sqeuclidean")
-            np.exp(d2 * (-0.5 / t)[None, :], out=d2)
-            out = d2 @ (self.weights * coef)
-            return out
+            return _exp_dot(pts, self.means, -0.5 / t, self.weights * coef)
+        out = np.zeros(pts.shape[0])
         eye = np.eye(d)
         for b in range(self.covs.shape[0]):
             idx = np.flatnonzero(self.cov_map == b)
@@ -269,13 +272,39 @@ class GaussianMixture:
                 raise NumericalError("singular covariance in gauss sum")
             u = solve_triangular(low, pts.T, lower=True).T
             v = solve_triangular(low, self.means[idx].T, lower=True).T
-            d2 = cdist(u, v, "sqeuclidean")
             if normalized:
                 coef = (2.0 * np.pi) ** (-0.5 * d) / det
             else:
                 coef = sigma**d / det
-            out += np.exp(-0.5 * d2) @ (self.weights[idx] * coef)
+            out += _exp_dot(u, v, -0.5, self.weights[idx] * coef)
         return out
+
+
+def _exp_dot(x, y, scale, v) -> np.ndarray:
+    """(M,) array of sum_j exp(scale_j ||x_i - y_j||^2) v_j over the rows x_i.
+
+    scale is a scalar or a (K,) array. Each tile of rows gets its squared
+    distances from one cdist, scaled and exponentiated in place, and reduced
+    straight into its slice of the result, so the bits are those of the
+    untiled exp(scale * cdist(x, y)) @ v. That needs two things of the tiles.
+    BLAS gemv kernels reduce rows in small groups (four in OpenBLAS on
+    x86-64) and send the leftover rows to another kernel, so every tile but
+    the last holds a multiple of _ROW_GROUP rows. And numpy hands a one-row matrix to a dot
+    product instead of gemv, so a one-row remainder joins the tile before it.
+    """
+    m = x.shape[0]
+    out = np.empty(m)
+    rows = _TILE_BYTES // (8 * y.shape[0]) // _ROW_GROUP * _ROW_GROUP
+    rows = max(rows, _ROW_GROUP)
+    start = 0
+    while start < m:
+        stop = start + rows if m - start - rows > 1 else m
+        block = cdist(x[start:stop], y, "sqeuclidean")
+        block *= scale
+        np.exp(block, out=block)
+        np.dot(block, v, out=out[start:stop])
+        start = stop
+    return out
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import numpy as np
@@ -11,10 +12,12 @@ from herdfilter import (
 )
 from herdfilter.fw_quad import (
     FwVariant,
+    QpConvergenceError,
     QuadratureState,
     SimplexQp,
     _advance,
     _line_search_step,
+    _objective,
     fw_quad,
     fw_vertex_search,
     simplex_qp_kkt_residual,
@@ -252,6 +255,95 @@ class TestColumnBuffer:
             fw_quad(std_normal_1d(), UNIT_1D, 2, 5, pool=pool)
 
 
+class TestQpFallback:
+    """The corrective step when simplex_qp_solve stops short of tolerance."""
+
+    # the package attribute herdfilter.fw_quad is the function
+    fwq = importlib.import_module("herdfilter.fw_quad")
+    WARNING = "FCFW corrective QP stopped at KKT residual"
+
+    @staticmethod
+    def worst_vertex(qp):
+        # the simplex vertex of largest objective: 1 - 2 c_i, as kappa(x, x) = 1
+        w = np.zeros(qp.linear.shape[0])
+        w[int(np.argmin(qp.linear))] = 1.0
+        return w
+
+    def state_after(self, steps):
+        rng = np.random.default_rng(31)
+        p = random_mixture(rng)
+        k = KernelConfig(0.8, 2)
+        pool, _ = p.sample(300, rng)
+        state = QuadratureState(p, k, pool, col_capacity=steps + 1)
+        for _ in range(steps):
+            assert _advance(state, FwVariant.FCFW)
+        return state
+
+    def test_lower_best_iterate_kept(self, monkeypatch):
+        state = self.state_after(4)
+        solve = simplex_qp_solve
+        best = []
+
+        def stalled(qp, tol, w0=None):
+            best.append(solve(qp, tol, w0))
+            raise QpConvergenceError(best[-1], 3.0e-7)
+
+        monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
+        before = state.objective
+        with pytest.warns(RuntimeWarning, match=self.WARNING) as rec:
+            assert _advance(state, FwVariant.FCFW)
+        assert len(rec) == 1
+        assert "3.000e-07" in str(rec[0].message)
+        assert "kept" in str(rec[0].message)
+        np.testing.assert_array_equal(state.weights, best[0])
+        assert state.objective < before
+
+    def test_higher_best_iterate_rejected(self, monkeypatch):
+        state = self.state_after(4)
+        old = state.weights.copy()
+        before = state.objective
+        worse = []
+
+        def stalled(qp, tol, w0=None):
+            best = self.worst_vertex(qp)
+            worse.append(_objective(qp, best) > _objective(qp, w0) + 1e-15)
+            raise QpConvergenceError(best, 2.0e-6)
+
+        monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
+        with pytest.warns(RuntimeWarning, match=self.WARNING) as rec:
+            _advance(state, FwVariant.FCFW)
+        assert worse == [True]
+        assert len(rec) == 1
+        assert "rejected" in str(rec[0].message)
+        # the new atom joins at weight zero and the others keep theirs
+        assert state.n_chosen == old.size + 1
+        np.testing.assert_array_equal(state.weights, np.append(old, 0.0))
+        assert state.objective == pytest.approx(before, abs=1e-15)
+
+    def test_objective_trace_never_rises(self, monkeypatch):
+        # stalls alternate between the exact solution and the worst vertex
+        solve = simplex_qp_solve
+        calls = []
+
+        def stalled(qp, tol, w0=None):
+            calls.append(None)
+            best = solve(qp, tol, w0) if len(calls) % 2 else self.worst_vertex(qp)
+            raise QpConvergenceError(best, 1.0e-8)
+
+        monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
+        rng = np.random.default_rng(32)
+        p = random_mixture(rng)
+        trace = []
+        with pytest.warns(RuntimeWarning, match=self.WARNING) as rec:
+            fw_quad(p, KernelConfig(1.0, 2), 12, 200, FwVariant.FCFW,
+                    rng_seed=5, objective_trace=trace)
+        messages = [str(r.message) for r in rec]
+        assert len(messages) == len(calls) >= 6
+        assert any("kept" in m for m in messages)
+        assert any("rejected" in m for m in messages)
+        assert np.diff(trace).max(initial=0.0) <= 1e-12
+
+
 class TestSimplexQp:
     def test_singleton(self):
         np.testing.assert_array_equal(
@@ -441,16 +533,21 @@ class TestFwQuad:
         ns = np.array([10, 20, 40, 80])
         rng = np.random.default_rng(32)
         mc_med, fcfw_med = [], []
-        for n in ns:
-            mc_errs, fcfw_errs = [], []
-            for s in range(5):
-                pts, _ = p.sample(n, rng)
-                q = WeightedParticleSet(pts, np.full(n, 1.0 / n))
-                mc_errs.append(mmd(p, q, k))
-                _, e = fw_quad(p, k, int(n), 4000, FwVariant.FCFW, rng_seed=50 + s)
-                fcfw_errs.append(e)
-            mc_med.append(np.median(mc_errs))
-            fcfw_med.append(np.median(fcfw_errs))
+        # on pool seed 54 the n=40 and n=80 rules each meet a corrective QP
+        # that stops at KKT residual 2.7e-10 (tolerance 1e-10); the best
+        # iterate lowers the objective and is kept
+        with pytest.warns(RuntimeWarning, match="FCFW corrective QP stopped") as rec:
+            for n in ns:
+                mc_errs, fcfw_errs = [], []
+                for s in range(5):
+                    pts, _ = p.sample(n, rng)
+                    q = WeightedParticleSet(pts, np.full(n, 1.0 / n))
+                    mc_errs.append(mmd(p, q, k))
+                    _, e = fw_quad(p, k, int(n), 4000, FwVariant.FCFW, rng_seed=50 + s)
+                    fcfw_errs.append(e)
+                mc_med.append(np.median(mc_errs))
+                fcfw_med.append(np.median(fcfw_errs))
+        assert all("kept" in str(r.message) for r in rec)
         slope = np.polyfit(np.log(ns), np.log(mc_med), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
         for n, a, b in zip(ns, fcfw_med, mc_med):

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
+from herdfilter import kernels as kernels_mod
 from herdfilter import (
     GaussianMixture,
     KernelConfig,
@@ -145,6 +150,124 @@ class TestMeanMap:
             -0.5 * np.sum((draws - x0) ** 2, axis=1) / k.sigma2
         ).mean()
         assert mean_map_eval_batch(p, x0[None], k)[0] == pytest.approx(est, abs=3e-3)
+
+
+def untiled_gauss_sum(p, pts, var_shift, normalized, sigma=None):
+    """GaussianMixture._gauss_sum with one whole M x K exponent block per
+    covariance block, as the closed form reads."""
+    d = p.dim
+    if p._iso_var is not None:
+        t = p._iso_var[p.cov_map] + var_shift
+        if normalized:
+            coef = (2.0 * np.pi * t) ** (-0.5 * d)
+        else:
+            coef = (sigma * sigma / t) ** (0.5 * d)
+        d2 = cdist(pts, p.means, "sqeuclidean")
+        return np.exp(d2 * (-0.5 / t)[None, :]) @ (p.weights * coef)
+    out = np.zeros(pts.shape[0])
+    for b in range(p.covs.shape[0]):
+        idx = np.flatnonzero(p.cov_map == b)
+        if idx.size == 0:
+            continue
+        low = safe_cholesky(p.covs[b] + var_shift * np.eye(d))
+        det = float(np.prod(np.diag(low)))
+        u = solve_triangular(low, pts.T, lower=True).T
+        v = solve_triangular(low, p.means[idx].T, lower=True).T
+        if normalized:
+            coef = (2.0 * np.pi) ** (-0.5 * d) / det
+        else:
+            coef = sigma**d / det
+        out += np.exp(-0.5 * cdist(u, v, "sqeuclidean")) @ (p.weights[idx] * coef)
+    return out
+
+
+def block_mixture(rng, dim, n_comp, n_blocks=3):
+    """Mixture over n_blocks full covariance blocks, shared by component index."""
+    w = rng.random(n_comp) + 0.05
+    w /= w.sum()
+    a = rng.standard_normal((n_blocks, dim, dim))
+    covs = a @ a.transpose(0, 2, 1) + 0.2 * np.eye(dim)
+    cov_map = np.arange(n_comp) % n_blocks
+    p = GaussianMixture(w, rng.uniform(-3, 3, size=(n_comp, dim)), covs, cov_map)
+    p._iso_var = None  # a 1-d block is isotropic; take the block path anyway
+    return p
+
+
+def assert_matches_untiled(p, pts, k):
+    assert np.array_equal(p.pdf(pts), untiled_gauss_sum(p, pts, 0.0, True))
+    assert np.array_equal(
+        mean_map_eval_batch(p, pts, k),
+        untiled_gauss_sum(p, pts, k.sigma2, False, np.sqrt(k.sigma2)),
+    )
+
+
+class TestMeanMapTiles:
+    # with a one-byte tile every tile holds the minimum _ROW_GROUP rows, so
+    # these M cross several tile boundaries; 17, 33, 49, 65 and 81 end on a
+    # one-row remainder. M * K stays under 9216, where OpenBLAS runs the
+    # untiled product on one thread.
+    SIZES = (1, 2, 15, 16, 17, 31, 32, 33, 49, 50, 65, 81)
+
+    @pytest.mark.parametrize("n_comp", [1, 7, 100])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("isotropic", [True, False])
+    def test_bit_identical_to_untiled(self, monkeypatch, n_comp, dim, isotropic):
+        monkeypatch.setattr(kernels_mod, "_TILE_BYTES", 1)
+        rng = np.random.default_rng(10 * n_comp + dim)
+        if isotropic:
+            p = random_mixture(rng, dim=dim, n_comp=n_comp)
+        else:
+            p = block_mixture(rng, dim, n_comp)
+        assert (p._iso_var is not None) == isotropic
+        k = KernelConfig(0.7, dim)
+        for m in self.SIZES:
+            assert_matches_untiled(p, rng.uniform(-4, 4, size=(m, dim)), k)
+
+    def test_one_row_remainder_joins_the_tile_before(self, monkeypatch):
+        monkeypatch.setattr(kernels_mod, "_TILE_BYTES", 1)
+        rows = []
+
+        def recording(x, y, metric):
+            rows.append(x.shape[0])
+            return cdist(x, y, metric)
+
+        monkeypatch.setattr(kernels_mod, "cdist", recording)
+        p = random_mixture(np.random.default_rng(11), dim=2, n_comp=7)
+        for m, tiles in [(1, [1]), (16, [16]), (17, [17]), (33, [16, 17]),
+                         (34, [16, 16, 2]), (49, [16, 16, 17]),
+                         (50, [16, 16, 16, 2])]:
+            rows.clear()
+            p.pdf(np.zeros((m, 2)))
+            assert rows == tiles
+
+    @pytest.mark.parametrize("isotropic", [True, False])
+    def test_bit_identical_at_bench_shape(self, isotropic):
+        # the herding filter's pool against a 100-component transition mixture
+        rng = np.random.default_rng(12)
+        if isotropic:
+            p = random_mixture(rng, dim=3, n_comp=100)
+        else:
+            p = block_mixture(rng, 3, 100)
+        pts = rng.uniform(-4, 4, size=(20000, 3))
+        assert_matches_untiled(p, pts, KernelConfig(1.0, 3))
+
+    @pytest.mark.parametrize("isotropic", [True, False])
+    def test_peak_memory_is_one_tile(self, isotropic):
+        # an untiled M x K exponent block alone is 16 MB here
+        rng = np.random.default_rng(13)
+        if isotropic:
+            p = random_mixture(rng, dim=3, n_comp=100)
+        else:
+            p = block_mixture(rng, 3, 100)
+        pts = rng.uniform(-4, 4, size=(20000, 3))
+        k = KernelConfig(1.0, 3)
+        tracemalloc.start()
+        try:
+            mean_map_eval_batch(p, pts, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMmd:
