@@ -2,7 +2,11 @@
 
 Greedy kernel herding with three step rules: plain FW steps gamma = 1/(k+1)
 (uniform weights), analytic line search, and the fully corrective variant that
-re-solves a simplex-constrained QP over all chosen atoms after every vertex.
+re-solves a simplex-constrained QP over all chosen atoms after every vertex
+(the optimally-weighted herding of Bach, Lacoste-Julien & Obozinski, ICML
+2012). That QP's optimum is the point of the atoms' convex hull nearest the
+target's mean embedding, and Wolfe's min-norm-point method (Math. Programming
+1976), run as an active-set loop over the weights, finds it exactly.
 The vertex search is exhaustive over a pool of M i.i.d. draws from the target,
 with the running correlation sum_i w_i kappa(x_i, .) maintained incrementally
 so a full run costs O(NM) kernel evaluations (O(N^2 M) for the corrective
@@ -55,6 +59,7 @@ __all__ = [
 _DENOM_FLOOR = 1e-14
 _ERR2_FLOOR = 1e-15  # squared-error level treated as exact recovery
 _QP_TOL = 1e-10
+_ACTIVE_EPS = 1e-12  # the KKT residual counts weights above this as support
 
 
 class FwVariant(enum.Enum):
@@ -179,7 +184,7 @@ def _line_search_step(gg: float, gmu: float, cross_v: float, mu_v: float) -> flo
 
 
 class QpConvergenceError(NumericalError):
-    """QP iteration cap hit; carries the best feasible iterate found."""
+    """QP iteration cap hit; carries the last iterate, the lowest found."""
 
     def __init__(self, best: np.ndarray, residual: float):
         self.best = best
@@ -219,22 +224,10 @@ class SimplexQp:
                 raise ValueError("gram must be PSD within 1e-9")
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    ok = u - css / ks > 0.0
-    rho = ks[ok][-1]
-    theta = css[ok][-1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def simplex_qp_kkt_residual(qp: SimplexQp, w: np.ndarray,
-                            active_eps: float = 1e-12) -> float:
+def simplex_qp_kkt_residual(qp: SimplexQp, w: np.ndarray) -> float:
     """Max of gradient spread on the support and complementarity violation."""
     g = 2.0 * (qp.gram @ w - qp.linear)
-    support = w > active_eps
+    support = w > _ACTIVE_EPS
     if not support.any():
         return np.inf
     g_sup = g[support]
@@ -249,55 +242,19 @@ def _objective(qp: SimplexQp, w: np.ndarray) -> float:
     return float(w @ (qp.gram @ w) - 2.0 * qp.linear @ w)
 
 
-def _active_set_polish(qp: SimplexQp, w: np.ndarray, tol: float, max_rounds: int):
-    """Exact equality-constrained solves on a working support set."""
-    k = qp.linear.shape[0]
-    support = w > 1e-12
-    if not support.any():
-        support[int(np.argmax(w))] = True
-    for _ in range(max_rounds):
-        idx = np.flatnonzero(support)
-        s = idx.size
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = 2.0 * qp.gram[np.ix_(idx, idx)]
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs = np.concatenate([2.0 * qp.linear[idx], [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            ridge = np.eye(s + 1) * 1e-12
-            ridge[s, s] = 0.0
-            sol = np.linalg.lstsq(kkt + ridge, rhs, rcond=None)[0]
-        w_s = sol[:s]
-        if np.any(w_s < -1e-14):
-            # drop the worst offender and re-solve on the smaller support
-            support[idx[int(np.argmin(w_s))]] = False
-            if not support.any():
-                return w, False
-            continue
-        cand = np.zeros(k)
-        cand[idx] = np.maximum(w_s, 0.0)
-        cand /= cand.sum()
-        grad = 2.0 * (qp.gram @ cand - qp.linear)
-        lam = grad[idx].min()
-        violations = np.where(~support, lam - grad, -np.inf)
-        j = int(np.argmax(violations))
-        if violations[j] > tol * 0.5:
-            support[j] = True
-            w = cand
-            continue
-        return cand, simplex_qp_kkt_residual(qp, cand) <= tol
-    return w, False
-
-
 def simplex_qp_solve(qp: SimplexQp, tol: float = _QP_TOL, w0=None) -> np.ndarray:
     """Solve the simplex QP to a KKT residual of at most tol.
 
-    Projected gradient with Armijo backtracking for globalization, then an
-    active-set polish that solves the support's KKT system exactly. Iterations
-    are capped at 10 (k+1)^2; hitting the cap raises QpConvergenceError with
-    the best iterate attached.
+    Wolfe's min-norm-point method (Math. Programming 1976) in weight form, a
+    primal active-set method. Each round solves the KKT system of the QP
+    restricted to the affine hull of the support. A minimizer with a negative
+    weight is approached from the current iterate only until the first weight
+    reaches zero, and the atoms at zero leave the support. Otherwise the
+    minimizer becomes the iterate, and the outside atom of most negative
+    gradient joins the support, until none undercuts the support's gradient
+    by more than tol / 2. No round raises the objective, so the last iterate
+    is the lowest found. Rounds are capped at 10 (k+1)^2; an iterate whose
+    KKT residual exceeds tol raises QpConvergenceError with it attached.
     """
     k = qp.linear.shape[0]
     if k == 1:
@@ -307,44 +264,45 @@ def simplex_qp_solve(qp: SimplexQp, tol: float = _QP_TOL, w0=None) -> np.ndarray
     else:
         w = np.maximum(np.asarray(w0, dtype=float).reshape(-1), 0.0)
         w = w / w.sum() if w.sum() > 0 else np.full(k, 1.0 / k)
-    cap = 10 * (k + 1) ** 2
-    iters = 0
-    eta = 1.0
-    best = w.copy()
-    best_f = _objective(qp, w)
-    while iters < cap:
-        # cheap exact rounds first: warm starts usually certify in one or two
-        polished, ok = _active_set_polish(qp, w, tol, max_rounds=2 * k + 4)
-        iters += 1
-        if _objective(qp, polished) <= best_f:
-            best, best_f = polished.copy(), _objective(qp, polished)
-        if ok and _objective(qp, polished) <= best_f + 1e-15:
-            return polished
-        w = polished
-        # a few projected-gradient steps to escape a bad support guess
-        for _ in range(20):
-            iters += 1
-            grad = 2.0 * (qp.gram @ w - qp.linear)
-            for _ in range(40):
-                cand = _project_simplex(w - eta * grad)
-                delta = cand - w
-                quad = float(delta @ qp.gram @ delta)
-                if quad <= 0.0 or eta <= (delta @ delta) / (2.0 * quad + 1e-300):
-                    break
-                eta *= 0.5
-            f_new = _objective(qp, cand)
-            if f_new <= best_f:
-                best, best_f = cand.copy(), f_new
-            if np.abs(cand - w).max() < 1e-16:
-                break
-            w = cand
-            eta *= 1.2
-        if simplex_qp_kkt_residual(qp, w) <= tol:
-            return w
-    res = simplex_qp_kkt_residual(qp, best)
+    support = w > 0.0
+    for _ in range(10 * (k + 1) ** 2):
+        idx = np.flatnonzero(support)
+        s = idx.size
+        kkt = np.zeros((s + 1, s + 1))
+        kkt[:s, :s] = 2.0 * qp.gram[np.ix_(idx, idx)]
+        kkt[:s, s] = 1.0
+        kkt[s, :s] = 1.0
+        rhs = np.concatenate([2.0 * qp.linear[idx], [1.0]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)[:s]
+        except np.linalg.LinAlgError:
+            ridge = np.eye(s + 1) * 1e-12
+            ridge[s, s] = 0.0
+            sol = np.linalg.lstsq(kkt + ridge, rhs, rcond=None)[0][:s]
+        neg = np.flatnonzero(sol < 0.0)
+        if neg.size:
+            w_s = w[idx]
+            ratios = w_s[neg] / (w_s[neg] - sol[neg])
+            t = ratios.min()
+            w_s += t * (sol - w_s)
+            hit = neg[(ratios == t) | (w_s[neg] <= 0.0)]
+            w_s[hit] = 0.0
+            w[idx] = w_s
+            support[idx[hit]] = False
+            continue
+        w[:] = 0.0
+        w[idx] = sol
+        w /= w.sum()
+        grad = 2.0 * (qp.gram @ w - qp.linear)
+        violations = np.where(support, -np.inf, grad[idx].min() - grad)
+        j = int(np.argmax(violations))
+        if violations[j] <= 0.5 * tol:
+            break
+        support[j] = True
+    res = simplex_qp_kkt_residual(qp, w)
     if res <= tol:
-        return best
-    raise QpConvergenceError(best, res)
+        return w
+    raise QpConvergenceError(w, res)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +329,7 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
         try:
             w_new = simplex_qp_solve(qp, tol=_QP_TOL, w0=None if first else state.weights)
         except QpConvergenceError as e:
-            # near-duplicate atoms make the Gram numerically singular and the
-            # residual stalls at the solve-noise floor; the best iterate is
-            # still a strict improvement or gets rejected just below
+            # the uncertified iterate is kept only if it lowers the objective
             w_new = e.best
             residual = e.residual
         f_new = _objective(qp, w_new)

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .exact import jmls_exact_filter, kalman_run
 from .filters import (
     MC_MULTINOMIAL,
@@ -276,8 +276,6 @@ class MetricRow:
 
     def __post_init__(self):
         if not np.isfinite(self.value):
-            from .errors import NumericalError
-
             raise NumericalError(
                 f"non-finite {self.metric} for {self.method}"
                 f" (n={self.n}, seed={self.seed}): {self.value!r}"

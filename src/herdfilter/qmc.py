@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import NumericalError
+from .kernels import WeightedParticleSet
 
 __all__ = ["SobolStream", "inverse_normal_cdf", "qmc_sample_mixture"]
 
@@ -210,8 +211,6 @@ def qmc_sample_mixture(p, n: int, stream: SobolStream):
     quantile and the component's covariance factor. Returns a uniformly
     weighted particle set whose ancestry records the chosen components.
     """
-    from .kernels import WeightedParticleSet
-
     d = p.dim
     if stream.dim != d + 1:
         raise ValueError(

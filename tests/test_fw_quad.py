@@ -50,6 +50,15 @@ def std_normal_1d():
     return GaussianMixture([1.0], [[0.0]], [[[1.0]]])
 
 
+def simplex_grid_min(gram, lin):
+    """Lowest 3-atom QP objective over a 101-point-per-axis simplex grid."""
+    grid = np.linspace(0.0, 1.0, 101)
+    a, b = np.meshgrid(grid, grid)
+    keep = a + b <= 1.0 + 1e-12
+    cand = np.stack([a[keep], b[keep], 1.0 - a[keep] - b[keep]], axis=1)
+    return float((np.einsum("ci,ij,cj->c", cand, gram, cand) - 2.0 * cand @ lin).min())
+
+
 def random_mixture(rng, dim=2, n_comp=4):
     w = rng.random(n_comp) + 0.1
     w /= w.sum()
@@ -403,6 +412,45 @@ class TestSimplexQp:
         f = lambda v: v @ gram @ v - 2 * lin @ v
         assert f(w) <= f(w0) + 1e-14
 
+        # three atoms on a line, warm-started on all of them: the minimizer on
+        # that support's affine hull gives the middle atom a negative weight,
+        # so the solver must step to the boundary and drop it
+        x = np.array([0.0, 1.0, 2.0])
+        gram = np.exp(-0.5 * (x[:, None] - x[None, :]) ** 2)
+        lin = np.array([0.8, 0.3, 0.6])
+        kkt = np.block([[2.0 * gram, np.ones((3, 1))], [np.ones((1, 3)), np.zeros((1, 1))]])
+        assert np.linalg.solve(kkt, np.append(2.0 * lin, 1.0))[1] < 0.0
+        qp = SimplexQp(gram, lin)
+        w0 = np.array([0.2, 0.4, 0.4])
+        w = simplex_qp_solve(qp, w0=w0)
+        assert w[1] == 0.0
+        assert simplex_qp_kkt_residual(qp, w) <= 1e-10
+        bound = min(_objective(qp, w0), simplex_grid_min(gram, lin))
+        assert _objective(qp, w) <= bound + 1e-12
+
+    @pytest.mark.parametrize("lin, w0", [
+        ([0.6, 0.6, 0.5], [0.3, 0.3, 0.4]),
+        ([0.3, 0.3, 0.9], [0.5, 0.5, 0.0]),
+    ])
+    def test_duplicated_atom_singular_support(self, monkeypatch, lin, w0):
+        # atoms 0 and 1 coincide, so the warm start's support has a singular
+        # KKT system and the solver must take its least-squares fallback
+        lstsq = np.linalg.lstsq
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        a = np.exp(-0.5)
+        gram = np.array([[1.0, 1.0, a], [1.0, 1.0, a], [a, a, 1.0]])
+        qp = SimplexQp(gram, lin)
+        w = simplex_qp_solve(qp, w0=w0)
+        assert calls
+        assert simplex_qp_kkt_residual(qp, w) <= 1e-10
+        assert _objective(qp, w) <= simplex_grid_min(gram, qp.linear) + 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SimplexQp(np.array([[1.0, 0.5], [0.4, 1.0]]), [0.5, 0.5])
@@ -533,21 +581,16 @@ class TestFwQuad:
         ns = np.array([10, 20, 40, 80])
         rng = np.random.default_rng(32)
         mc_med, fcfw_med = [], []
-        # on pool seed 54 the n=40 and n=80 rules each meet a corrective QP
-        # that stops at KKT residual 2.7e-10 (tolerance 1e-10); the best
-        # iterate lowers the objective and is kept
-        with pytest.warns(RuntimeWarning, match="FCFW corrective QP stopped") as rec:
-            for n in ns:
-                mc_errs, fcfw_errs = [], []
-                for s in range(5):
-                    pts, _ = p.sample(n, rng)
-                    q = WeightedParticleSet(pts, np.full(n, 1.0 / n))
-                    mc_errs.append(mmd(p, q, k))
-                    _, e = fw_quad(p, k, int(n), 4000, FwVariant.FCFW, rng_seed=50 + s)
-                    fcfw_errs.append(e)
-                mc_med.append(np.median(mc_errs))
-                fcfw_med.append(np.median(fcfw_errs))
-        assert all("kept" in str(r.message) for r in rec)
+        for n in ns:
+            mc_errs, fcfw_errs = [], []
+            for s in range(5):
+                pts, _ = p.sample(n, rng)
+                q = WeightedParticleSet(pts, np.full(n, 1.0 / n))
+                mc_errs.append(mmd(p, q, k))
+                _, e = fw_quad(p, k, int(n), 4000, FwVariant.FCFW, rng_seed=50 + s)
+                fcfw_errs.append(e)
+            mc_med.append(np.median(mc_errs))
+            fcfw_med.append(np.median(fcfw_errs))
         slope = np.polyfit(np.log(ns), np.log(mc_med), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
         for n, a, b in zip(ns, fcfw_med, mc_med):
