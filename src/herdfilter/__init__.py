@@ -21,7 +21,7 @@ from .filters import (
     run_rbpf,
     skh,
 )
-from .fw_quad import FwVariant, SimplexQp, fw_quad, simplex_qp_solve
+from .fw_quad import FwVariant, fw_quad
 from .harness import (
     ExperimentConfig,
     MetricRow,
@@ -73,9 +73,7 @@ __all__ = [
     "run_rbpf",
     "skh",
     "FwVariant",
-    "SimplexQp",
     "fw_quad",
-    "simplex_qp_solve",
     "ExperimentConfig",
     "MetricRow",
     "SummaryRow",

@@ -6,7 +6,8 @@ re-solves a simplex-constrained QP over all chosen atoms after every vertex
 (the optimally-weighted herding of Bach, Lacoste-Julien & Obozinski, ICML
 2012). That QP's optimum is the point of the atoms' convex hull nearest the
 target's mean embedding, and Wolfe's min-norm-point method (Math. Programming
-1976), run as an active-set loop over the weights, finds it exactly.
+1976), run as an active-set loop over the weights on the state's own Gram
+matrix and mean-map vector, unchecked arrays, finds it exactly.
 The vertex search is exhaustive over a pool of M i.i.d. draws from the target,
 with the running correlation sum_i w_i kappa(x_i, .) maintained incrementally
 so a full run costs O(NM) kernel evaluations (O(N^2 M) for the corrective
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -48,7 +48,6 @@ from .kernels import (
 __all__ = [
     "FwVariant",
     "QuadratureState",
-    "SimplexQp",
     "QpConvergenceError",
     "fw_quad",
     "fw_vertex_search",
@@ -192,41 +191,9 @@ class QpConvergenceError(NumericalError):
         super().__init__(f"simplex QP did not reach tolerance (residual {residual:.3e})")
 
 
-@dataclass
-class SimplexQp:
-    """Data of the corrective step: Gram matrix and mean-map vector.
-
-    Args:
-        gram: (k, k) kernel matrix of the chosen atoms.
-        linear: (k,) mean-map values at the atoms.
-        validate: check that gram is symmetric and PSD (skipped in the hot
-            loop, where the Gram matrix is both by construction).
-    """
-
-    gram: np.ndarray
-    linear: np.ndarray
-    validate: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        self.gram = np.asarray(self.gram, dtype=float)
-        self.linear = np.asarray(self.linear, dtype=float).reshape(-1)
-        k = self.linear.shape[0]
-        if self.gram.shape != (k, k):
-            raise ValueError("gram and linear sizes disagree")
-        if not np.all(np.isfinite(self.linear)):
-            raise ValueError("linear term must be finite")
-        if np.any(self.linear < -1e-12) or np.any(self.linear > 1.0 + 1e-9):
-            raise ValueError("linear entries must lie in [0, 1]")
-        if self.validate:
-            if np.abs(self.gram - self.gram.T).max(initial=0.0) > 1e-9:
-                raise ValueError("gram must be symmetric within 1e-9")
-            if np.linalg.eigvalsh(self.gram).min(initial=0.0) < -1e-9:
-                raise ValueError("gram must be PSD within 1e-9")
-
-
-def simplex_qp_kkt_residual(qp: SimplexQp, w: np.ndarray) -> float:
+def simplex_qp_kkt_residual(gram: np.ndarray, linear: np.ndarray, w: np.ndarray) -> float:
     """Max of gradient spread on the support and complementarity violation."""
-    g = 2.0 * (qp.gram @ w - qp.linear)
+    g = 2.0 * (gram @ w - linear)
     support = w > _ACTIVE_EPS
     if not support.any():
         return np.inf
@@ -238,11 +205,12 @@ def simplex_qp_kkt_residual(qp: SimplexQp, w: np.ndarray) -> float:
     return max(spread, viol)
 
 
-def _objective(qp: SimplexQp, w: np.ndarray) -> float:
-    return float(w @ (qp.gram @ w) - 2.0 * qp.linear @ w)
+def _objective(gram: np.ndarray, linear: np.ndarray, w: np.ndarray) -> float:
+    return float(w @ (gram @ w) - 2.0 * linear @ w)
 
 
-def simplex_qp_solve(qp: SimplexQp, tol: float = _QP_TOL, w0=None) -> np.ndarray:
+def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
+                     w0=None) -> np.ndarray:
     """Solve the simplex QP to a KKT residual of at most tol.
 
     Wolfe's min-norm-point method (Math. Programming 1976) in weight form, a
@@ -255,8 +223,12 @@ def simplex_qp_solve(qp: SimplexQp, tol: float = _QP_TOL, w0=None) -> np.ndarray
     by more than tol / 2. No round raises the objective, so the last iterate
     is the lowest found. Rounds are capped at 10 (k+1)^2; an iterate whose
     KKT residual exceeds tol raises QpConvergenceError with it attached.
+
+    gram is the (k, k) float Gram matrix of the chosen atoms, symmetric PSD,
+    and linear their (k,) float mean-map values; neither is checked. w0 is an
+    optional warm start, clipped at zero and renormalized.
     """
-    k = qp.linear.shape[0]
+    k = linear.shape[0]
     if k == 1:
         return np.ones(1)
     if w0 is None:
@@ -269,10 +241,10 @@ def simplex_qp_solve(qp: SimplexQp, tol: float = _QP_TOL, w0=None) -> np.ndarray
         idx = np.flatnonzero(support)
         s = idx.size
         kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = 2.0 * qp.gram[np.ix_(idx, idx)]
+        kkt[:s, :s] = 2.0 * gram[np.ix_(idx, idx)]
         kkt[:s, s] = 1.0
         kkt[s, :s] = 1.0
-        rhs = np.concatenate([2.0 * qp.linear[idx], [1.0]])
+        rhs = np.concatenate([2.0 * linear[idx], [1.0]])
         try:
             sol = np.linalg.solve(kkt, rhs)[:s]
         except np.linalg.LinAlgError:
@@ -293,13 +265,13 @@ def simplex_qp_solve(qp: SimplexQp, tol: float = _QP_TOL, w0=None) -> np.ndarray
         w[:] = 0.0
         w[idx] = sol
         w /= w.sum()
-        grad = 2.0 * (qp.gram @ w - qp.linear)
+        grad = 2.0 * (gram @ w - linear)
         violations = np.where(support, -np.inf, grad[idx].min() - grad)
         j = int(np.argmax(violations))
         if violations[j] <= 0.5 * tol:
             break
         support[j] = True
-    res = simplex_qp_kkt_residual(qp, w)
+    res = simplex_qp_kkt_residual(gram, linear, w)
     if res <= tol:
         return w
     raise QpConvergenceError(w, res)
@@ -323,16 +295,17 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
             raise ValueError("FCFW needs a state built with col_capacity > 0")
         if not known:
             state._append_atom(idx, col)
-        qp = SimplexQp(state.gram, state.mu_sel, validate=False)
-        f_old = _objective(qp, state.weights) if not first else np.inf
+        gram, linear = state.gram, state.mu_sel
+        f_old = _objective(gram, linear, state.weights) if not first else np.inf
         residual = None
         try:
-            w_new = simplex_qp_solve(qp, tol=_QP_TOL, w0=None if first else state.weights)
+            w_new = simplex_qp_solve(gram, linear, tol=_QP_TOL,
+                                     w0=None if first else state.weights)
         except QpConvergenceError as e:
             # the uncertified iterate is kept only if it lowers the objective
             w_new = e.best
             residual = e.residual
-        f_new = _objective(qp, w_new)
+        f_new = _objective(gram, linear, w_new)
         rejected = f_new > f_old + 1e-15
         if rejected:
             # never accept a worse corrective step than the warm start
@@ -437,16 +410,11 @@ def fw_quad(
             break
     err = state.fw_error
     out = state.chosen
-    if variant is FwVariant.FW:
+    keep = out.weights > 0.0
+    if not keep.all():
+        w = out.weights[keep]
         out = WeightedParticleSet(
-            out.points, np.full(out.n, 1.0 / out.n), ancestry=out.ancestry
+            out.points[keep], w / w.sum(),
+            ancestry=None if out.ancestry is None else out.ancestry[keep],
         )
-    else:
-        keep = out.weights > 0.0
-        if not keep.all():
-            w = out.weights[keep]
-            out = WeightedParticleSet(
-                out.points[keep], w / w.sum(),
-                ancestry=None if out.ancestry is None else out.ancestry[keep],
-            )
     return out, err

@@ -62,7 +62,7 @@ from .qmc import MAX_DIM, SobolStream, qmc_sample_mixture
 
 ARTIFACT_VERSION = "herdfilter-0.1.0"
 
-# Desk-scale defaults; --paper-scale swaps in the full-size grid.
+# Desk-scale defaults; --paper-scale sets m/batches/t to _PAPER even over the config.
 _DESK = {"m": 20_000, "batches": 10, "t": 50}
 _PAPER = {"m": 50_000, "batches": 30, "t": 100}
 
@@ -185,7 +185,6 @@ def load_config(path, paper_scale: bool = False) -> ExperimentConfig:
     if kind not in ("quad", "filter", "rbpf"):
         raise ConfigError(f"unknown experiment kind {kind!r} (quad, filter or rbpf)")
 
-    scale = _PAPER if paper_scale else _DESK
     samplers = _cfg_get(cp, "methods", "samplers", _str_list)
     sigma2s = _cfg_get(cp, "methods", "sigma2", _float_list, default=(1.0,))
     n_grid = _cfg_get(cp, "grid", "n", _int_list)
@@ -194,7 +193,7 @@ def load_config(path, paper_scale: bool = False) -> ExperimentConfig:
     batches = _cfg_get(cp, "grid", "batches", int, default=_DESK["batches"])
     t = _cfg_get(cp, "grid", "t", int, default=_DESK["t"])
     if paper_scale:
-        m, batches, t = scale["m"], scale["batches"], scale["t"]
+        m, batches, t = _PAPER["m"], _PAPER["batches"], _PAPER["t"]
 
     cfg = ExperimentConfig(
         kind=kind,

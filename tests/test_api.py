@@ -1,5 +1,8 @@
 import importlib
 import pkgutil
+from pathlib import Path
+
+import numpy as np
 
 import herdfilter
 
@@ -18,3 +21,33 @@ def test_every_export_resolves():
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_bench_tracer_patches_and_restores(monkeypatch):
+    # bench/layers.py patches module attributes by name and counts the calls
+    # made through them: a dropped name breaks `bench/run.py --trace 1`, and a
+    # call that bypasses the module global goes uncounted
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    layers = importlib.import_module("layers")
+    rng = np.random.default_rng(40)
+    p = herdfilter.GaussianMixture(
+        np.full(5, 0.2), rng.uniform(-2.0, 2.0, (5, 2)), np.stack([np.eye(2)] * 5)
+    )
+    tracer = layers.Tracer()
+    try:
+        tracer.install(herdfilter)
+        patched = list(tracer._patches)
+        trace = []
+        herdfilter.fw_quad(p, herdfilter.KernelConfig(1.0, 2), 8, 200,
+                           herdfilter.FwVariant.FCFW, rng_seed=3, objective_trace=trace)
+        stats = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert len(trace) == 8
+    assert stats["fw_quad.simplex_qp_solve.calls"] == len(trace)
+    assert stats["fw_quad.fw_vertex_search.calls"] == len(trace)
+    assert stats["fw_quad.fw_quad.calls"] == 1
+    assert stats.get("fw_quad.qp_fallbacks", 0) == 0
+    assert patched
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, attr

@@ -14,7 +14,6 @@ from herdfilter.fw_quad import (
     FwVariant,
     QpConvergenceError,
     QuadratureState,
-    SimplexQp,
     _advance,
     _line_search_step,
     _objective,
@@ -272,10 +271,10 @@ class TestQpFallback:
     WARNING = "FCFW corrective QP stopped at KKT residual"
 
     @staticmethod
-    def worst_vertex(qp):
+    def worst_vertex(linear):
         # the simplex vertex of largest objective: 1 - 2 c_i, as kappa(x, x) = 1
-        w = np.zeros(qp.linear.shape[0])
-        w[int(np.argmin(qp.linear))] = 1.0
+        w = np.zeros(linear.shape[0])
+        w[int(np.argmin(linear))] = 1.0
         return w
 
     def state_after(self, steps):
@@ -293,8 +292,8 @@ class TestQpFallback:
         solve = simplex_qp_solve
         best = []
 
-        def stalled(qp, tol, w0=None):
-            best.append(solve(qp, tol, w0))
+        def stalled(gram, linear, tol, w0=None):
+            best.append(solve(gram, linear, tol, w0))
             raise QpConvergenceError(best[-1], 3.0e-7)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
@@ -313,9 +312,9 @@ class TestQpFallback:
         before = state.objective
         worse = []
 
-        def stalled(qp, tol, w0=None):
-            best = self.worst_vertex(qp)
-            worse.append(_objective(qp, best) > _objective(qp, w0) + 1e-15)
+        def stalled(gram, linear, tol, w0=None):
+            best = self.worst_vertex(linear)
+            worse.append(_objective(gram, linear, best) > _objective(gram, linear, w0) + 1e-15)
             raise QpConvergenceError(best, 2.0e-6)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
@@ -334,9 +333,9 @@ class TestQpFallback:
         solve = simplex_qp_solve
         calls = []
 
-        def stalled(qp, tol, w0=None):
+        def stalled(gram, linear, tol, w0=None):
             calls.append(None)
-            best = solve(qp, tol, w0) if len(calls) % 2 else self.worst_vertex(qp)
+            best = solve(gram, linear, tol, w0) if len(calls) % 2 else self.worst_vertex(linear)
             raise QpConvergenceError(best, 1.0e-8)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
@@ -356,23 +355,22 @@ class TestQpFallback:
 class TestSimplexQp:
     def test_singleton(self):
         np.testing.assert_array_equal(
-            simplex_qp_solve(SimplexQp(np.eye(1), [0.3])), [1.0]
+            simplex_qp_solve(np.eye(1), np.array([0.3])), [1.0]
         )
 
     def test_frozen_two_dim_example(self):
         # stationarity 2w1 - 2 = 2w2 on the simplex pins the vertex (1, 0);
         # a 1e-5 grid search over the simplex agrees (objective -1.0)
-        w = simplex_qp_solve(SimplexQp(np.eye(2), [1.0, 0.0]))
+        w = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]))
         np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-10)
 
     def test_frozen_interior_example(self):
         # linear spread of 0.5 puts the optimum strictly inside: w = (0.75, 0.25)
-        w = simplex_qp_solve(SimplexQp(np.eye(2), [0.5, 0.0]))
+        w = simplex_qp_solve(np.eye(2), np.array([0.5, 0.0]))
         np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-10)
 
     def test_against_grid_search(self):
-        qp = SimplexQp(np.eye(2), [1.0, 0.0])
-        w = simplex_qp_solve(qp)
+        w = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]))
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-5)
         vals = grid**2 + (1 - grid) ** 2 - 2 * grid
         w1 = grid[np.argmin(vals)]
@@ -387,11 +385,10 @@ class TestSimplexQp:
             d = np.sqrt(np.diag(gram))
             gram = gram / np.outer(d, d)  # unit diagonal like a kernel matrix
             lin = rng.random(k)
-            qp = SimplexQp(gram, lin)
-            w = simplex_qp_solve(qp)
+            w = simplex_qp_solve(gram, lin)
             assert np.all(w >= 0.0)
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
-            assert simplex_qp_kkt_residual(qp, w) <= 1e-8
+            assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-8
             obj = w @ gram @ w - 2 * lin @ w
             for i in range(k):
                 e = np.zeros(k)
@@ -406,9 +403,8 @@ class TestSimplexQp:
         gram = 0.5 * (gram + gram.T) + np.eye(5) * 0.5
         gram /= gram.max()
         lin = rng.random(5)
-        qp = SimplexQp(gram, lin)
         w0 = np.array([0.9, 0.05, 0.05, 0.0, 0.0])
-        w = simplex_qp_solve(qp, w0=w0)
+        w = simplex_qp_solve(gram, lin, w0=w0)
         f = lambda v: v @ gram @ v - 2 * lin @ v
         assert f(w) <= f(w0) + 1e-14
 
@@ -420,17 +416,16 @@ class TestSimplexQp:
         lin = np.array([0.8, 0.3, 0.6])
         kkt = np.block([[2.0 * gram, np.ones((3, 1))], [np.ones((1, 3)), np.zeros((1, 1))]])
         assert np.linalg.solve(kkt, np.append(2.0 * lin, 1.0))[1] < 0.0
-        qp = SimplexQp(gram, lin)
         w0 = np.array([0.2, 0.4, 0.4])
-        w = simplex_qp_solve(qp, w0=w0)
+        w = simplex_qp_solve(gram, lin, w0=w0)
         assert w[1] == 0.0
-        assert simplex_qp_kkt_residual(qp, w) <= 1e-10
-        bound = min(_objective(qp, w0), simplex_grid_min(gram, lin))
-        assert _objective(qp, w) <= bound + 1e-12
+        assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-10
+        bound = min(_objective(gram, lin, w0), simplex_grid_min(gram, lin))
+        assert _objective(gram, lin, w) <= bound + 1e-12
 
     @pytest.mark.parametrize("lin, w0", [
-        ([0.6, 0.6, 0.5], [0.3, 0.3, 0.4]),
-        ([0.3, 0.3, 0.9], [0.5, 0.5, 0.0]),
+        (np.array([0.6, 0.6, 0.5]), np.array([0.3, 0.3, 0.4])),
+        (np.array([0.3, 0.3, 0.9]), np.array([0.5, 0.5, 0.0])),
     ])
     def test_duplicated_atom_singular_support(self, monkeypatch, lin, w0):
         # atoms 0 and 1 coincide, so the warm start's support has a singular
@@ -445,30 +440,10 @@ class TestSimplexQp:
         monkeypatch.setattr(np.linalg, "lstsq", counted)
         a = np.exp(-0.5)
         gram = np.array([[1.0, 1.0, a], [1.0, 1.0, a], [a, a, 1.0]])
-        qp = SimplexQp(gram, lin)
-        w = simplex_qp_solve(qp, w0=w0)
+        w = simplex_qp_solve(gram, lin, w0=w0)
         assert calls
-        assert simplex_qp_kkt_residual(qp, w) <= 1e-10
-        assert _objective(qp, w) <= simplex_grid_min(gram, qp.linear) + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimplexQp(np.array([[1.0, 0.5], [0.4, 1.0]]), [0.5, 0.5])
-        with pytest.raises(ValueError):
-            SimplexQp(np.eye(2), [0.5, 2.0])
-        with pytest.raises(ValueError):
-            SimplexQp(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.5, 0.5])
-
-    def test_unvalidated_gram_still_checks_linear(self):
-        # validate=False trusts the Gram matrix but not the O(k) linear term
-        qp = SimplexQp(np.array([[1.0, 0.5], [0.4, 1.0]]), [0.5, 0.5], validate=False)
-        assert qp.linear.shape == (2,)
-        with pytest.raises(ValueError):
-            SimplexQp(np.eye(2), [0.5, 2.0], validate=False)
-        with pytest.raises(ValueError):
-            SimplexQp(np.eye(2), [np.nan, 0.5], validate=False)
-        with pytest.raises(ValueError):
-            SimplexQp(np.eye(3), [0.5, 0.5], validate=False)
+        assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-10
+        assert _objective(gram, lin, w) <= simplex_grid_min(gram, lin) + 1e-12
 
 
 class TestFwQuad:

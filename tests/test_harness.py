@@ -266,6 +266,21 @@ class TestQuadExperiment:
         assert scrub(serial) == scrub(pooled)
 
 
+@pytest.mark.parametrize("run, kind", [
+    (run_filter_experiment, dict(kind="filter")),
+    (run_rbpf_experiment, dict(kind="rbpf", coupled=False)),
+], ids=["filter", "rbpf"])
+def test_filter_grid_worker_pool_matches_serial(run, kind):
+    # LGSS and uncoupled CLGSS only: the nonlinear and coupled grids build a
+    # wide particle-filter reference that makes them slow
+    cfg = filter_cfg(samplers=("mc_stratified", "qmc_sobol", "skh_fw", "skh_fcfw"),
+                     n_grid=(10, 20), m=500, batches=2, t=6, **kind)
+    scrub = lambda rs: [dataclasses.replace(r, runtime_ms=0) for r in rs]
+    serial = scrub(run(cfg, workers=1))
+    assert len(serial) == 4 * 2 * 2 * len({r.metric for r in serial})
+    assert serial == scrub(run(cfg, workers=3))
+
+
 class TestFilterExperiment:
     def test_lgss_rows_include_mmd(self):
         rows = run_filter_experiment(filter_cfg())
