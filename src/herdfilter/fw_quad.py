@@ -31,7 +31,6 @@ import enum
 import warnings
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .kernels import (
@@ -39,6 +38,7 @@ from .kernels import (
     KernelConfig,
     WeightedParticleSet,
     _as_points,
+    _exp_sqdist,
     _sqrt_clamped,
     kernel_cross,  # noqa: F401  unused here; bench/layers.py patches this name
     mean_map_eval_batch,
@@ -138,9 +138,8 @@ class QuadratureState:
         """kappa(pool[idx], pool) as a fresh (M,) array; the pool is already checked."""
         # the single row goes first: scipy's cdist is about 9x slower on an
         # (M, 1) distance block than on the (1, M) one, with the same bits
-        col = cdist(self.pool[idx:idx + 1], self.pool, "sqeuclidean")[0]
-        col *= -0.5 / self.kernel.sigma2
-        return np.exp(col, out=col)
+        scale = -0.5 / self.kernel.sigma2
+        return _exp_sqdist(self.pool[idx:idx + 1], self.pool, scale)[0]
 
     def _append_atom(self, idx: int, col: np.ndarray):
         sel = np.asarray(self.idxs, dtype=np.intp)

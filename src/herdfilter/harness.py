@@ -1,22 +1,25 @@
 """Config-driven experiment grids with CSV reporting.
 
 Three experiment kinds, all described by flat ``key = value`` config files
-with sections (see README for the full key list):
+with sections (see README for the full key list). Each runs one sweep over
+sigma^2 x method x N x repeat, in that nesting order, as a pair of an
+estimate (the sampler or filter call, the only timed part) and a score (the
+metrics of one cell):
 
 * ``quad``   -- approximate a random Gaussian mixture with each sampling
-  scheme over an N grid, recording MMD and mean-estimate error plus a
-  fitted log-log slope row per method.
+  scheme, recording MMD and mean-estimate error, then a fitted log-log
+  slope row per (sigma^2, method).
 * ``filter`` -- run the particle filter template on a synthetic state-space
-  model over method x sigma^2 x N x batch, recording RMSE against a
-  reference filter, |log evidence error|, and (linear-Gaussian models only)
-  the mean per-step MMD against the exact predictive marginal.
-* ``rbpf``   -- same sweep for the Rao-Blackwellized filter on the
-  hierarchical model; RMSE is measured on the linear-substate posterior
-  means.
+  model, recording RMSE against a reference filter, |log evidence error|,
+  and (linear-Gaussian models only) the mean per-step MMD against the
+  exact predictive marginal.
+* ``rbpf``   -- run the Rao-Blackwellized filter on the hierarchical model;
+  RMSE is measured on the linear-substate posterior means.
 
 Every emitted row carries the config hash, the repeat seed and an artifact
-version tag so result files are self-describing. Rerunning a config must
-reproduce the CSV byte for byte except for the runtime_ms column.
+version tag so result files are self-describing. The row and summary CSVs
+share one codec, with columns taken from the row dataclasses. Rerunning a
+config must reproduce the CSV byte for byte except for the runtime_ms column.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import configparser
 import csv
 import dataclasses
 import hashlib
+import itertools
 import time
+import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,20 +71,10 @@ ARTIFACT_VERSION = "herdfilter-0.1.0"
 _DESK = {"m": 20_000, "batches": 10, "t": 50}
 _PAPER = {"m": 50_000, "batches": 30, "t": 100}
 
-_QUAD_METHODS = ("mc", "qmc", "fw", "fw_ls", "fcfw")
-_FILTER_METHODS = (
-    "mc_multinomial",
-    "mc_stratified",
-    "qmc_sobol",
-    "skh_fw",
-    "skh_fw_ls",
-    "skh_fcfw",
-)
-_FW_BY_NAME = {
-    "fw": FwVariant.FW,
-    "fw_ls": FwVariant.FW_LS,
-    "fcfw": FwVariant.FCFW,
-}
+_FW_BY_NAME = {v.name.lower(): v for v in FwVariant}
+_PLAIN_SAMPLERS = {s.name: s for s in (MC_MULTINOMIAL, MC_STRATIFIED, QMC_SOBOL)}
+_QUAD_METHODS = ("mc", "qmc", *_FW_BY_NAME)
+_FILTER_METHODS = (*_PLAIN_SAMPLERS, *(f"skh_{name}" for name in _FW_BY_NAME))
 
 _REFERENCE_N = 100_000
 _REFERENCE_RUNS = 3
@@ -229,13 +224,19 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"unknown sampler(s) {unknown} for kind {cfg.kind!r}; valid: {list(valid)}"
         )
-    if not cfg.sigma2s or any(s2 <= 0 for s2 in cfg.sigma2s):
+    if not cfg.sigma2s or any(v <= 0 for v in cfg.sigma2s):
         raise ConfigError("[methods] sigma2 must be a nonempty list of positives")
     if not cfg.n_grid or any(n < 1 for n in cfg.n_grid):
         raise ConfigError("[grid] n must be a nonempty list of positive integers")
     for name in ("m", "seeds", "batches", "t"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"[grid] {name} must be >= 1")
+    herding = [s for s in cfg.samplers if s.removeprefix("skh_") in _FW_BY_NAME]
+    if herding and cfg.m < max(cfg.n_grid):
+        raise ConfigError(
+            f"[grid] m = {cfg.m} is below the largest n = {max(cfg.n_grid)}; the"
+            f" herding samplers {herding} pick n atoms from a pool of m points"
+        )
     if cfg.kind == "quad":
         if not 1 <= cfg.mixture_dim <= MAX_DIM - 1:
             raise ConfigError(f"[mixture] dim must be in [1, {MAX_DIM - 1}]")
@@ -255,6 +256,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             )
         if cfg.model_kind == "lgss" and (cfg.model_dim < 1 or cfg.model_obs_dim < 1):
             raise ConfigError("[model] dim and obs_dim must be >= 1")
+        sobol = "qmc_sobol" in cfg.samplers
+        if cfg.model_kind == "lgss" and sobol and cfg.model_dim > MAX_DIM - 1:
+            # qmc_sobol draws one Sobol coordinate per state dimension plus one
+            raise ConfigError(f"[model] dim must be <= {MAX_DIM - 1} for qmc_sobol")
 
 
 # ---------------------------------------------------------------------------
@@ -281,37 +286,26 @@ class MetricRow:
             )
 
 
-ROW_FIELDS = (
-    "metric",
-    "method",
-    "sigma2",
-    "n",
-    "seed",
-    "value",
-    "runtime_ms",
-    "config_hash",
-    "version",
-)
+ROW_FIELDS = tuple(f.name for f in dataclasses.fields(MetricRow))
+
+
+def _write_csv(path, cls, header, rows) -> None:
+    """Write dataclass rows of type cls under the given header, one column
+    per field: float fields as repr(float(v)), every other field as it is."""
+    hints = typing.get_type_hints(cls)
+    floats = [(f.name, hints[f.name] is float) for f in dataclasses.fields(cls)]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for r in rows:
+            w.writerow(
+                repr(float(getattr(r, name))) if is_float else getattr(r, name)
+                for name, is_float in floats
+            )
 
 
 def write_rows(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(ROW_FIELDS)
-        for r in rows:
-            w.writerow(
-                [
-                    r.metric,
-                    r.method,
-                    repr(float(r.sigma2)),
-                    r.n,
-                    r.seed,
-                    repr(float(r.value)),
-                    r.runtime_ms,
-                    r.config_hash,
-                    r.version,
-                ]
-            )
+    _write_csv(path, MetricRow, ROW_FIELDS, rows)
 
 
 def read_rows(path) -> list[dict]:
@@ -320,6 +314,7 @@ def read_rows(path) -> list[dict]:
         f = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read rows file {path}: {e}") from e
+    types = typing.get_type_hints(MetricRow)
     with f:
         rd = csv.DictReader(f)
         missing = set(ROW_FIELDS) - set(rd.fieldnames or ())
@@ -328,35 +323,45 @@ def read_rows(path) -> list[dict]:
         out = []
         for i, row in enumerate(rd, start=2):
             try:
-                out.append(
-                    {
-                        "metric": row["metric"],
-                        "method": row["method"],
-                        "sigma2": float(row["sigma2"]),
-                        "n": int(row["n"]),
-                        "seed": int(row["seed"]),
-                        "value": float(row["value"]),
-                        "runtime_ms": int(row["runtime_ms"]),
-                        "config_hash": row["config_hash"],
-                        "version": row["version"],
-                    }
-                )
+                if None in row or None in row.values():
+                    raise ValueError("wrong number of fields")
+                out.append({name: types[name](row[name]) for name in ROW_FIELDS})
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"{path}: bad row at line {i}: {e}") from e
     return out
 
 
-def _map_items(fn, items, workers: int):
+def _sweep(cfg: ExperimentConfig, reps: int, estimate, score, workers: int):
+    """MetricRows of every sigma^2 x method x N x rep cell, in that order.
+
+    estimate(s2, method, n, rep) is the only timed call, into runtime_ms;
+    score(est, s2, method, n, rep) gives the cell's (metric, value) pairs.
+    Cells run on a pool of `workers` threads when workers > 1.
+    """
+    items = [
+        (s2, method, n, rep)
+        for s2 in cfg.sigma2s
+        for method in cfg.samplers
+        for n in cfg.n_grid
+        for rep in range(reps)
+    ]
+
+    def cell(item):
+        t0 = time.perf_counter()
+        est = estimate(*item)
+        ms = int(round((time.perf_counter() - t0) * 1000.0))
+        s2, method, n, rep = item
+        return [
+            MetricRow(metric, method, s2, n, rep, value, ms, cfg.config_hash)
+            for metric, value in score(est, *item)
+        ]
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            nested = list(ex.map(fn, items))
+            cells = list(ex.map(cell, items))
     else:
-        nested = [fn(it) for it in items]
-    return [row for rows in nested for row in rows]
-
-
-def _elapsed_ms(t0: float) -> int:
-    return int(round((time.perf_counter() - t0) * 1000.0))
+        cells = map(cell, items)
+    return [row for rows in cells for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -374,61 +379,45 @@ def sample_mixture_family(dim: int, components: int, seed) -> GaussianMixture:
     return GaussianMixture(raw / raw.sum(), means, covs)
 
 
-def _quad_estimate(p, k, method, n, m, seed) -> WeightedParticleSet:
-    if method == "mc":
-        pts, comps = p.sample(n, np.random.default_rng([seed, n]))
-        return WeightedParticleSet(pts, np.full(n, 1.0 / n), comps)
-    if method == "qmc":
-        # random restart aligned to a dyadic block: windows of up to 8192
-        # points then inherit the sequence's balance, an arbitrary offset
-        # does not
-        r = int(np.random.default_rng(seed).integers(1 << 17))
-        return qmc_sample_mixture(p, n, SobolStream(p.dim + 1, offset=8192 * (1 + r)))
-    out, _ = fw_quad(p, k, n, m, _FW_BY_NAME[method], rng_seed=[seed, n])
-    return out
-
-
 def run_quad_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricRow]:
-    """Sweep method x sigma^2 x N x seed against one random mixture."""
+    """Sweep sigma^2 x method x N x seed against one random mixture, then
+    add one log-log slope row of the per-N median MMD per (sigma^2, method)."""
     p = sample_mixture_family(cfg.mixture_dim, cfg.mixture_components, cfg.mixture_seed)
     target_mean = p.moments()[0]
-    h = cfg.config_hash
-    items = [
-        (s2, meth, n, seed)
-        for s2 in cfg.sigma2s
-        for meth in cfg.samplers
-        for n in cfg.n_grid
-        for seed in range(cfg.seeds)
-    ]
 
-    def work(item):
-        s2, meth, n, seed = item
+    def estimate(s2, method, n, seed):
+        if method == "mc":
+            pts, comps = p.sample(n, np.random.default_rng([seed, n]))
+            return WeightedParticleSet(pts, np.full(n, 1.0 / n), comps)
+        if method == "qmc":
+            # random restart aligned to a dyadic block: windows of up to 8192
+            # points then inherit the sequence's balance, an arbitrary offset
+            # does not
+            r = int(np.random.default_rng(seed).integers(1 << 17))
+            stream = SobolStream(p.dim + 1, offset=8192 * (1 + r))
+            return qmc_sample_mixture(p, n, stream)
         k = KernelConfig(s2, cfg.mixture_dim)
-        t0 = time.perf_counter()
-        est = _quad_estimate(p, k, meth, n, cfg.m, seed)
-        ms = _elapsed_ms(t0)
+        return fw_quad(p, k, n, cfg.m, _FW_BY_NAME[method], rng_seed=[seed, n])[0]
+
+    def score(est, s2, method, n, seed):
         err = float(np.linalg.norm(est.weights @ est.points - target_mean))
-        return [
-            MetricRow("mmd", meth, s2, n, seed, mmd(p, est, k), ms, h),
-            MetricRow("mean_err", meth, s2, n, seed, err, ms, h),
-        ]
+        k = KernelConfig(s2, cfg.mixture_dim)
+        return [("mmd", mmd(p, est, k)), ("mean_err", err)]
 
-    rows = _map_items(work, items, workers)
+    rows = _sweep(cfg, cfg.seeds, estimate, score, workers)
 
-    # one fitted log-log slope of the per-N median MMD per method
     by_cell = {}
     for r in rows:
         if r.metric == "mmd":
             by_cell.setdefault((r.sigma2, r.method, r.n), []).append(r.value)
     if len(cfg.n_grid) >= 2:
         log_n = np.log(np.asarray(cfg.n_grid, dtype=float))
-        for s2 in cfg.sigma2s:
-            for meth in cfg.samplers:
-                med = np.array(
-                    [np.median(by_cell[(s2, meth, n)]) for n in cfg.n_grid]
-                )
-                slope = np.polyfit(log_n, np.log(np.maximum(med, 1e-300)), 1)[0]
-                rows.append(MetricRow("slope", meth, s2, 0, -1, float(slope), 0, h))
+        for s2, method in itertools.product(cfg.sigma2s, cfg.samplers):
+            med = np.array([np.median(by_cell[(s2, method, n)]) for n in cfg.n_grid])
+            slope = np.polyfit(log_n, np.log(np.maximum(med, 1e-300)), 1)[0]
+            rows.append(
+                MetricRow("slope", method, s2, 0, -1, float(slope), 0, cfg.config_hash)
+            )
     return rows
 
 
@@ -437,13 +426,9 @@ def run_quad_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricR
 
 
 def _filter_sampler(name: str, m: int) -> SamplerKind:
-    if name == "mc_multinomial":
-        return MC_MULTINOMIAL
-    if name == "mc_stratified":
-        return MC_STRATIFIED
-    if name == "qmc_sobol":
-        return QMC_SOBOL
-    return skh(_FW_BY_NAME[name[len("skh_") :]], m)
+    if name in _PLAIN_SAMPLERS:
+        return _PLAIN_SAMPLERS[name]
+    return skh(_FW_BY_NAME[name.removeprefix("skh_")], m)
 
 
 def _resolve_filter_model(cfg: ExperimentConfig):
@@ -505,65 +490,42 @@ def _rmse(est: np.ndarray, ref: np.ndarray) -> float:
 
 
 def run_filter_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricRow]:
-    """Sweep method x sigma^2 x N x batch on one synthetic system."""
+    """Sweep sigma^2 x method x N x batch on one synthetic system."""
     model, params = _resolve_filter_model(cfg)
-    h = cfg.config_hash
     trajs = [simulate(model, cfg.t, seed=cfg.traj_seed + b) for b in range(cfg.batches)]
     refs = [
         _filter_reference(cfg, model, params, trajs[b].observations, b)
         for b in range(cfg.batches)
     ]
-    items = [
-        (s2, name, n, b)
-        for s2 in cfg.sigma2s
-        for name in cfg.samplers
-        for n in cfg.n_grid
-        for b in range(cfg.batches)
-    ]
 
-    def work(item):
-        s2, name, n, b = item
-        ys = trajs[b].observations
-        ref_means, ref_logz, pred = refs[b]
-        k = KernelConfig(s2, model.dim_x)
-        t0 = time.perf_counter()
-        trace = run_filter(
+    def estimate(s2, name, n, b):
+        return run_filter(
             model,
-            ys,
+            trajs[b].observations,
             _filter_sampler(name, cfg.m),
             n,
-            k,
+            KernelConfig(s2, model.dim_x),
             seed=b,
-            keep_particles=pred is not None,
+            keep_particles=refs[b][2] is not None,
         )
-        ms = _elapsed_ms(t0)
-        rows = [
-            MetricRow("rmse", name, s2, n, b, _rmse(trace.filtered_means, ref_means), ms, h),
-            MetricRow(
-                "logZ_err",
-                name,
-                s2,
-                n,
-                b,
-                abs(float(trace.log_evidence[-1]) - ref_logz),
-                ms,
-                h,
-            ),
+
+    def score(trace, s2, name, n, b):
+        ref_means, ref_logz, pred = refs[b]
+        out = [
+            ("rmse", _rmse(trace.filtered_means, ref_means)),
+            ("logZ_err", abs(float(trace.log_evidence[-1]) - ref_logz)),
         ]
         if pred is not None:
             pm, pc = pred
+            k = KernelConfig(s2, model.dim_x)
             vals = [
-                mmd(
-                    GaussianMixture(np.ones(1), pm[i][None], pc[i][None]),
-                    trace.predictive[i],
-                    k,
-                )
-                for i in range(trace.T)
+                mmd(GaussianMixture(np.ones(1), mean[None], cov[None]), q, k)
+                for mean, cov, q in zip(pm, pc, trace.predictive)
             ]
-            rows.append(MetricRow("mmd", name, s2, n, b, float(np.mean(vals)), ms, h))
-        return rows
+            out.append(("mmd", float(np.mean(vals))))
+        return out
 
-    return _map_items(work, items, workers)
+    return _sweep(cfg, cfg.batches, estimate, score, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +570,6 @@ def run_rbpf_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricR
     particle filter (coupled model).
     """
     joint_model, params = make_clgss(cfg.model_seed, coupled=cfg.coupled)
-    h = cfg.config_hash
     trajs = [
         simulate(joint_model, cfg.t, seed=cfg.traj_seed + b) for b in range(cfg.batches)
     ]
@@ -621,19 +582,9 @@ def run_rbpf_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricR
             kt = kalman_run(_collapse_joint_params(params), ys)
             means, logz = kt.filt_means, float(kt.log_evidence[-1])
         refs.append((means[:, 1:], logz))  # joint state is (x, z); keep z
-    items = [
-        (s2, name, n, b)
-        for s2 in cfg.sigma2s
-        for name in cfg.samplers
-        for n in cfg.n_grid
-        for b in range(cfg.batches)
-    ]
 
-    def work(item):
-        s2, name, n, b = item
-        ref_z, ref_logz = refs[b]
-        t0 = time.perf_counter()
-        res = run_rbpf(
+    def estimate(s2, name, n, b):
+        return run_rbpf(
             params,
             trajs[b].observations,
             _filter_sampler(name, cfg.m),
@@ -642,23 +593,16 @@ def run_rbpf_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricR
             seed=b,
             keep_particles=False,
         )
-        ms = _elapsed_ms(t0)
+
+    def score(res, s2, name, n, b):
+        ref_z, ref_logz = refs[b]
         z_means = np.array([gm.moments()[0] for gm in res.z_posteriors])
         return [
-            MetricRow("rmse", name, s2, n, b, _rmse(z_means, ref_z), ms, h),
-            MetricRow(
-                "logZ_err",
-                name,
-                s2,
-                n,
-                b,
-                abs(float(res.trace.log_evidence[-1]) - ref_logz),
-                ms,
-                h,
-            ),
+            ("rmse", _rmse(z_means, ref_z)),
+            ("logZ_err", abs(float(res.trace.log_evidence[-1]) - ref_logz)),
         ]
 
-    return _map_items(work, items, workers)
+    return _sweep(cfg, cfg.batches, estimate, score, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -681,19 +625,9 @@ class SummaryRow:
     version: str = ARTIFACT_VERSION
 
 
-SUMMARY_FIELDS = (
-    "metric",
-    "method",
-    "sigma2",
-    "n",
-    "count",
-    "median",
-    "q25",
-    "q75",
-    "min",
-    "max",
-    "config_hash",
-    "version",
+SUMMARY_FIELDS = tuple(
+    {"vmin": "min", "vmax": "max"}.get(f.name, f.name)
+    for f in dataclasses.fields(SummaryRow)
 )
 
 
@@ -741,23 +675,4 @@ def summarize(rows) -> list[SummaryRow]:
 
 
 def write_summary(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(SUMMARY_FIELDS)
-        for r in rows:
-            w.writerow(
-                [
-                    r.metric,
-                    r.method,
-                    repr(float(r.sigma2)),
-                    r.n,
-                    r.count,
-                    repr(float(r.median)),
-                    repr(float(r.q25)),
-                    repr(float(r.q75)),
-                    repr(float(r.vmin)),
-                    repr(float(r.vmax)),
-                    r.config_hash,
-                    r.version,
-                ]
-            )
+    _write_csv(path, SummaryRow, SUMMARY_FIELDS, rows)

@@ -280,17 +280,25 @@ class GaussianMixture:
         return out
 
 
+def _exp_sqdist(x, y, scale) -> np.ndarray:
+    """Fresh (len(x), len(y)) block exp(scale ||x_i - y_j||^2), scale being
+    a scalar or a (len(y),) array: one cdist, scaled and exponentiated in place."""
+    block = cdist(x, y, "sqeuclidean")
+    block *= scale
+    return np.exp(block, out=block)
+
+
 def _exp_dot(x, y, scale, v) -> np.ndarray:
     """(M,) array of sum_j exp(scale_j ||x_i - y_j||^2) v_j over the rows x_i.
 
-    scale is a scalar or a (K,) array. Each tile of rows gets its squared
-    distances from one cdist, scaled and exponentiated in place, and reduced
-    straight into its slice of the result, so the bits are those of the
-    untiled exp(scale * cdist(x, y)) @ v. That needs two things of the tiles.
-    BLAS gemv kernels reduce rows in small groups (four in OpenBLAS on
-    x86-64) and send the leftover rows to another kernel, so every tile but
-    the last holds a multiple of _ROW_GROUP rows. And numpy hands a one-row matrix to a dot
-    product instead of gemv, so a one-row remainder joins the tile before it.
+    scale is a scalar or a (K,) array. Each tile of rows gets its block from
+    _exp_sqdist and is reduced straight into its slice of the result, so the
+    bits are those of the untiled exp(scale * cdist(x, y)) @ v. That needs
+    two things of the tiles. BLAS gemv kernels reduce rows in small groups
+    (four in OpenBLAS on x86-64) and send the leftover rows to another
+    kernel, so every tile but the last holds a multiple of _ROW_GROUP rows.
+    And numpy hands a one-row matrix to a dot product instead of gemv, so a
+    one-row remainder joins the tile before it.
     """
     m = x.shape[0]
     out = np.empty(m)
@@ -299,10 +307,7 @@ def _exp_dot(x, y, scale, v) -> np.ndarray:
     start = 0
     while start < m:
         stop = start + rows if m - start - rows > 1 else m
-        block = cdist(x[start:stop], y, "sqeuclidean")
-        block *= scale
-        np.exp(block, out=block)
-        np.dot(block, v, out=out[start:stop])
+        np.dot(_exp_sqdist(x[start:stop], y, scale), v, out=out[start:stop])
         start = stop
     return out
 
@@ -357,9 +362,7 @@ def kernel_cross(x, y, k: KernelConfig) -> np.ndarray:
     ym = _as_points(y, "y")
     if xm.shape[1] != k.dim or ym.shape[1] != k.dim:
         raise ValueError("point dimension does not match the kernel")
-    d2 = cdist(xm, ym, "sqeuclidean")
-    np.exp(d2 * (-0.5 / k.sigma2), out=d2)
-    return d2
+    return _exp_sqdist(xm, ym, -0.5 / k.sigma2)
 
 
 def _check_kernel_target(p: GaussianMixture, k: KernelConfig):

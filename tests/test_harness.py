@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from herdfilter.harness import (
     ROW_FIELDS,
     SUMMARY_FIELDS,
     MetricRow,
+    SummaryRow,
     load_config,
     read_rows,
     run_filter_experiment,
@@ -23,6 +26,7 @@ from herdfilter.harness import (
     sample_mixture_family,
     summarize,
     write_rows,
+    write_summary,
 )
 from herdfilter.models import make_clgss
 
@@ -140,21 +144,29 @@ class TestLoadConfig:
             ("sigma2 = 0.0", "sigma2"),
             ("n = ", r"\[grid\] n"),
             ("kind = quux", "unknown experiment kind"),
+            pytest.param("samplers = mc, fw\nn = 10, 50",
+                         "m = 20 is below the largest n = 50", id="herding_pool_below_n"),
+            pytest.param("kind = filter\nsamplers = qmc_sobol\ndim = 21",
+                         "dim must be <= 20", id="sobol_lgss_dim_21"),
         ],
     )
     def test_rejects_bad_values(self, tmp_path, patch, match):
+        # each line of patch replaces the template line with the same key
         text = """\
             [experiment]
             kind = quad
+            [model]
+            dim = 3
             [methods]
             samplers = mc
             sigma2 = 1.0
             [grid]
             n = 10
+            m = 20
             """
-        key = patch.split(" =")[0]
+        new = {line.split(" =")[0]: line for line in patch.splitlines()}
         lines = [
-            patch if line.strip().startswith(key + " ") or line.strip() == key else line
+            new.get(line.split(" =")[0], line)
             for line in textwrap.dedent(text).splitlines()
         ]
         with pytest.raises(ConfigError, match=match):
@@ -259,26 +271,43 @@ class TestQuadExperiment:
         assert abs(slope - (-0.5)) <= 0.15
 
     def test_worker_pool_matches_serial(self):
-        cfg = quad_cfg(samplers=("mc", "fw"), n_grid=(10, 20), seeds=2, m=300)
+        cfg = quad_cfg(samplers=("mc", "fw"), sigma2s=(0.5, 1.0), n_grid=(10, 20),
+                       seeds=2, m=300)
         serial = run_quad_experiment(cfg, workers=1)
         pooled = run_quad_experiment(cfg, workers=3)
         scrub = lambda rs: [dataclasses.replace(r, runtime_ms=0) for r in rs]
         assert scrub(serial) == scrub(pooled)
+        # sigma^2 x method x N x seed, metrics inside each cell, slope rows last
+        assert row_keys(serial) == [
+            (s2, meth, n, seed, metric)
+            for s2 in (0.5, 1.0) for meth in ("mc", "fw") for n in (10, 20)
+            for seed in range(2) for metric in ("mmd", "mean_err")
+        ] + [(s2, meth, 0, -1, "slope") for s2 in (0.5, 1.0) for meth in ("mc", "fw")]
 
 
-@pytest.mark.parametrize("run, kind", [
-    (run_filter_experiment, dict(kind="filter")),
-    (run_rbpf_experiment, dict(kind="rbpf", coupled=False)),
+def row_keys(rows):
+    return [(r.sigma2, r.method, r.n, r.seed, r.metric) for r in rows]
+
+
+@pytest.mark.parametrize("run, kind, metrics", [
+    (run_filter_experiment, dict(kind="filter"), ("rmse", "logZ_err", "mmd")),
+    (run_rbpf_experiment, dict(kind="rbpf", coupled=False), ("rmse", "logZ_err")),
 ], ids=["filter", "rbpf"])
-def test_filter_grid_worker_pool_matches_serial(run, kind):
+def test_filter_grid_worker_pool_matches_serial(run, kind, metrics):
     # LGSS and uncoupled CLGSS only: the nonlinear and coupled grids build a
     # wide particle-filter reference that makes them slow
-    cfg = filter_cfg(samplers=("mc_stratified", "qmc_sobol", "skh_fw", "skh_fcfw"),
-                     n_grid=(10, 20), m=500, batches=2, t=6, **kind)
+    samplers = ("mc_stratified", "qmc_sobol", "skh_fw", "skh_fcfw")
+    cfg = filter_cfg(samplers=samplers, sigma2s=(0.5, 1.0), n_grid=(10, 20), m=500,
+                     batches=2, t=6, **kind)
     scrub = lambda rs: [dataclasses.replace(r, runtime_ms=0) for r in rs]
     serial = scrub(run(cfg, workers=1))
-    assert len(serial) == 4 * 2 * 2 * len({r.metric for r in serial})
     assert serial == scrub(run(cfg, workers=3))
+    # sigma^2 x method x N x batch, metrics inside each cell
+    assert row_keys(serial) == [
+        (s2, meth, n, b, metric)
+        for s2 in (0.5, 1.0) for meth in samplers for n in (10, 20)
+        for b in range(2) for metric in metrics
+    ]
 
 
 class TestFilterExperiment:
@@ -458,6 +487,49 @@ class TestCli:
         assert list(rows[0]) == list(SUMMARY_FIELDS)
         assert float(rows[0]["median"]) == 2.0 and float(rows[0]["q25"]) == 1.5
 
+    def test_csv_text_pinned(self, tmp_path):
+        rows = [
+            MetricRow("mmd", "fw", 0.1, 10, 0, 1 / 3, 12, "abc"),
+            MetricRow("mean_err", "qmc", 1, 20, 1, 1e-300, 0, "abc"),
+            MetricRow("slope", "fw", 0.1, 0, -1, np.float64(-0.5), 0, "abc"),
+        ]
+        write_rows(tmp_path / "rows.csv", rows)
+        assert (tmp_path / "rows.csv").read_bytes() == (
+            b"metric,method,sigma2,n,seed,value,runtime_ms,config_hash,version\r\n"
+            b"mmd,fw,0.1,10,0,0.3333333333333333,12,abc,herdfilter-0.1.0\r\n"
+            b"mean_err,qmc,1.0,20,1,1e-300,0,abc,herdfilter-0.1.0\r\n"
+            b"slope,fw,0.1,0,-1,-0.5,0,abc,herdfilter-0.1.0\r\n"
+        )
+        summary = [
+            SummaryRow("rmse", "mc", 1 / 3, 50, 3, median=0.5, q25=0.25, q75=0.75,
+                       vmin=1e-300, vmax=2, config_hash="mixed"),
+        ]
+        write_summary(tmp_path / "summary.csv", summary)
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"metric,method,sigma2,n,count,median,q25,q75,min,max,config_hash,version\r\n"
+            b"rmse,mc,0.3333333333333333,50,3,0.5,0.25,0.75,1e-300,2.0,mixed,"
+            b"herdfilter-0.1.0\r\n"
+        )
+
+    def test_read_rows_non_finite(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(
+            b"metric,method,sigma2,n,seed,value,runtime_ms,config_hash,version\r\n"
+            b"rmse,mc,1.0,10,0,nan,5,abc,v\r\n"
+            b"rmse,mc,1.0,10,1,inf,5,abc,v\r\n"
+            b"rmse,qmc,1.0,10,0,-inf,7,abc,v\r\n"
+            b"rmse,qmc,1.0,10,1,0.5,7,abc,v\r\n"
+        )
+        rows = read_rows(path)
+        assert np.isnan(rows[0]["value"]) and rows[1]["value"] == np.inf
+        assert rows[2]["value"] == -np.inf
+        assert rows[3] == {"metric": "rmse", "method": "qmc", "sigma2": 1.0, "n": 10,
+                           "seed": 1, "value": 0.5, "runtime_ms": 7,
+                           "config_hash": "abc", "version": "v"}
+        with pytest.warns(UserWarning, match="no finite values"):
+            (s,) = summarize(rows)
+        assert (s.method, s.count, s.median, s.vmin, s.vmax) == ("qmc", 1, 0.5, 0.5, 0.5)
+
     def test_read_rows_roundtrip(self, tmp_path):
         path = tmp_path / "rows.csv"
         orig = [mk_row(1.5), mk_row(2.5, metric="mmd", seed=1)]
@@ -465,6 +537,13 @@ class TestCli:
         back = read_rows(path)
         assert [r["value"] for r in back] == [1.5, 2.5]
         assert [r["metric"] for r in back] == ["rmse", "mmd"]
+        # a row cut short (or run long) is refused, not padded
+        text = path.read_text(encoding="utf-8")
+        v = ",herdfilter-0.1.0"
+        for bad in (text.replace(v, "", 1), text.replace(v, v + ",x", 1)):
+            path.write_text(bad, encoding="utf-8", newline="")
+            with pytest.raises(ConfigError, match="line 2: wrong number of fields"):
+                read_rows(path)
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         assert cli.main(["quad", "--config", str(tmp_path / "nope.ini")]) == 2
@@ -484,6 +563,12 @@ class TestCli:
 
         assert cli.main(["quad", "--config", path, "--workers", "0"]) == 2
 
+        # fw needs m >= max(n): refused before any cell runs
+        out = tmp_path / "small_pool.csv"
+        small = QUAD_CLI_INI.format(out=out).replace("m = 300", "m = 15")
+        assert cli.main(["quad", "--config", cfg_file(tmp_path, small, "m.ini")]) == 2
+        assert "m = 15" in capsys.readouterr().err and not out.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, workers=1):
             raise DegenerateFilterError(3, 0.0)
@@ -492,3 +577,12 @@ class TestCli:
         path = cfg_file(tmp_path, QUAD_CLI_INI.format(out=tmp_path / "x.csv"))
         assert cli.main(["quad", "--config", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_readme_sampler_names_match_code():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme.read_text(encoding="utf-8")
+    sentence = re.search(r"Sampler names:(.*?)\.\n", readme, re.S).group(1)
+    quad, filt = sentence.split(";")
+    assert re.findall(r"`(\w+)`", quad) == list(harness._QUAD_METHODS)
+    assert re.findall(r"`(\w+)`", filt) == list(harness._FILTER_METHODS)
