@@ -140,12 +140,10 @@ def _float_list(raw: str) -> tuple:
 
 
 def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _cfg_get(cp, section, key, conv=str, default=_REQUIRED):
@@ -228,6 +226,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("[methods] sigma2 must be a nonempty list of positives")
     if not cfg.n_grid or any(n < 1 for n in cfg.n_grid):
         raise ConfigError("[grid] n must be a nonempty list of positive integers")
+    for name, values in (
+        ("[methods] samplers", cfg.samplers),
+        ("[methods] sigma2", cfg.sigma2s),
+        ("[grid] n", cfg.n_grid),
+    ):
+        # a repeated entry would rerun its cells and summarize would pool
+        # the copies into one group
+        repeated = sorted({v for i, v in enumerate(values) if v in values[:i]})
+        if repeated:
+            raise ConfigError(f"{name} repeats {repeated}")
     for name in ("m", "seeds", "batches", "t"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"[grid] {name} must be >= 1")

@@ -10,14 +10,17 @@ embedded below for dimensions up to 21; dimension 1 is the van der Corput
 sequence in base 2. Randomization is done by starting the sequence at
 a random integer offset, never by scrambling, so a run consumes one
 continuing stream.
+
+The normal quantile that maps Sobol points to Gaussian draws is scipy's
+``ndtri``. The generator stays hand-written although ``scipy.stats.qmc.Sobol``
+gives the same bits: importing ``scipy.stats`` would add about 0.4 s and
+32 MB of resident memory to every ``import herdfilter``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 
 from .errors import NumericalError
 from .kernels import WeightedParticleSet
@@ -136,71 +139,16 @@ class SobolStream:
         return out
 
 
-# Acklam's rational approximation of the standard normal quantile; the
-# central/tail split is at 0.02425. One Newton polish against erfc brings the
-# absolute error to ~1e-15, far inside the 1e-9 contract.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_SPLIT = 0.02425
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _acklam(u: np.ndarray) -> np.ndarray:
-    # The central rational runs on every point (its denominator stays above
-    # 1e-4 on the tails too); the tail rational then overwrites the ~5% of
-    # points outside [_ACK_SPLIT, 1 - _ACK_SPLIT].
-    q = u - 0.5
-    r = q * q
-    num = ((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r
-           + _ACK_A[4]) * r + _ACK_A[5]
-    den = ((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r
-           + _ACK_B[4]) * r + 1.0
-    x = q * num / den
-
-    def _tail(q):
-        num = ((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q
-               + _ACK_C[4]) * q + _ACK_C[5]
-        den = (((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0
-        return num / den
-
-    lo = u < _ACK_SPLIT
-    hi = u > 1.0 - _ACK_SPLIT
-    if lo.any():
-        x[lo] = _tail(np.sqrt(-2.0 * np.log(u[lo])))
-    if hi.any():
-        x[hi] = -_tail(np.sqrt(-2.0 * np.log(1.0 - u[hi])))
-    return x
-
-
 def inverse_normal_cdf(u):
-    """Standard normal quantile, absolute error below 1e-9 on (0, 1).
+    """Standard normal quantile on (0, 1), to full double precision.
 
     Scalar in, scalar out; arrays map elementwise.
     """
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.ascontiguousarray(arr)  # at least 1-d
-    if np.any(flat <= 0.0) or np.any(flat >= 1.0):
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails too
         raise ValueError("inverse_normal_cdf requires u strictly inside (0, 1)")
-    x = _acklam(flat)
-    # Newton step. Residuals use the tail that avoids cancellation: 1-u is
-    # exact in floating point for u in [0.5, 1]. One erfc per point gives
-    # the upper tail Q(x) for u > 0.5 and Phi(x) = Q(-x) otherwise.
-    upper = flat > 0.5
-    tail = 0.5 * erfc(np.where(upper, x, -x) / _SQRT2)
-    err = np.where(upper, (1.0 - flat) - tail, tail - flat)
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    step = np.zeros_like(x)
-    np.divide(err, pdf, out=step, where=pdf > 0.0)
-    x -= step
-    return float(x[0]) if scalar else x.reshape(arr.shape)
+    x = ndtri(u)
+    return float(x) if x.ndim == 0 else x
 
 
 def qmc_sample_mixture(p, n: int, stream: SobolStream):

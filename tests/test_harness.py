@@ -148,6 +148,11 @@ class TestLoadConfig:
                          "m = 20 is below the largest n = 50", id="herding_pool_below_n"),
             pytest.param("kind = filter\nsamplers = qmc_sobol\ndim = 21",
                          "dim must be <= 20", id="sobol_lgss_dim_21"),
+            pytest.param("samplers = mc, fw, mc", r"\[methods\] samplers repeats \['mc'\]",
+                         id="repeated_sampler"),
+            pytest.param("sigma2 = 0.1, 0.5, 0.10", r"\[methods\] sigma2 repeats \[0.1\]",
+                         id="repeated_sigma2"),
+            pytest.param("n = 10, 5, 10", r"\[grid\] n repeats \[10\]", id="repeated_n"),
         ],
     )
     def test_rejects_bad_values(self, tmp_path, patch, match):
@@ -171,6 +176,23 @@ class TestLoadConfig:
         ]
         with pytest.raises(ConfigError, match=match):
             load_config(cfg_file(tmp_path, "\n".join(lines)))
+
+    def test_coupled_boolean_words(self, tmp_path):
+        text = """\
+            [experiment]
+            kind = rbpf
+            [model]
+            coupled = {word}
+            [methods]
+            samplers = mc_stratified
+            [grid]
+            n = 10
+            """
+        for i, (word, value) in enumerate([("off", False), ("0", False), ("Yes", True)]):
+            path = cfg_file(tmp_path, text.format(word=word), name=f"{i}.ini")
+            assert load_config(path).coupled is value
+        with pytest.raises(ConfigError, match=r"bad value for \[model\] coupled: 'maybe'"):
+            load_config(cfg_file(tmp_path, text.format(word="maybe")))
 
     def test_jmls_depth_cap(self, tmp_path):
         text = """\
@@ -568,6 +590,17 @@ class TestCli:
         small = QUAD_CLI_INI.format(out=out).replace("m = 300", "m = 15")
         assert cli.main(["quad", "--config", cfg_file(tmp_path, small, "m.ini")]) == 2
         assert "m = 15" in capsys.readouterr().err and not out.exists()
+
+        # a repeated grid entry is refused before any cell runs
+        twice = QUAD_CLI_INI.format(out=out).replace("n = 10, 20", "n = 10, 20, 10")
+        assert cli.main(["quad", "--config", cfg_file(tmp_path, twice, "n.ini")]) == 2
+        assert "n repeats [10]" in capsys.readouterr().err and not out.exists()
+
+        maybe = QUAD_CLI_INI.format(out=out).replace(
+            "[methods]", "[model]\n    coupled = maybe\n    [methods]"
+        )
+        assert cli.main(["quad", "--config", cfg_file(tmp_path, maybe, "c.ini")]) == 2
+        assert "[model] coupled: 'maybe'" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, workers=1):
