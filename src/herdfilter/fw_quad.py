@@ -4,25 +4,38 @@ Greedy kernel herding with three step rules: plain FW steps gamma = 1/(k+1)
 (uniform weights), analytic line search, and the fully corrective variant that
 re-solves a simplex-constrained QP over all chosen atoms after every vertex
 (the optimally-weighted herding of Bach, Lacoste-Julien & Obozinski, ICML
-2012). That QP's optimum is the point of the atoms' convex hull nearest the
-target's mean embedding, and Wolfe's min-norm-point method (Math. Programming
-1976), run as an active-set loop over the weights on the state's own Gram
-matrix and mean-map vector, unchecked arrays, finds it exactly.
-The vertex search is exhaustive over a pool of M i.i.d. draws from the target,
-with the running correlation sum_i w_i kappa(x_i, .) maintained incrementally
-so a full run costs O(NM) kernel evaluations (O(N^2 M) for the corrective
-variant).
+2012). The vertex search is exhaustive over a pool of M i.i.d. draws from the
+target, with the running correlation sum_i w_i kappa(x_i, .) maintained
+incrementally so a full run costs O(NM) kernel evaluations (O(N^2 M) for the
+corrective variant).
 
-Beyond the pool and the n x n Gram matrix, FW and FW-LS keep O(M) floats.
-Set-up evaluates the target's closed-form mean map at the pool in row tiles
-of about 1 MB (kernels._TILE_BYTES), never as an M x K block for a K-component
-target, and the loop folds each new atom's kernel column into the running
-correlation and drops it. The fully corrective variant re-weights every atom
-after each step, so it keeps every chosen atom's column in one n x M buffer
-allocated up front (8nM bytes: 32 MB at n=200, M=20000) and rebuilds the
-correlation with one vector-matrix product. When its simplex QP stops short of
-tolerance it carries on from the best iterate, if that lowers the objective,
-and says so with a RuntimeWarning.
+The corrective QP's optimum is the point of the atoms' convex hull nearest
+the target's mean embedding, and Wolfe's min-norm-point method (Math.
+Programming 1976), run as an active-set loop over the weights, finds it
+exactly. Like Wolfe's, the loop works from a Cholesky factor: the state keeps
+the lower factor L of the chosen atoms' Gram matrix and grows it by one row
+per appended atom, with one triangular solve. The new diagonal's square,
+1 - r'G^-1 r for the atom's Gram row r, is its squared RKHS distance to the
+span of the atoms already chosen; under _SPAN_FLOOR the Gram matrix would be
+numerically singular, so the atom is not appended and the step is treated
+as one onto a known vertex, which ends the run unless re-weighting still
+lowers the objective. Only 1-d runs, whose pools soon lie in the span of
+20-odd atoms, come near the floor. A support that is a prefix of the chosen
+atoms, the usual case, is solved with L's leading block by three triangular
+solves; any other support falls back to an LU solve of its bordered KKT
+system. A QP that stops short of tolerance is carried on from its best
+iterate, if that lowers the objective, with a RuntimeWarning.
+
+Memory: beyond the pool, FW and FW-LS keep O(M) floats plus the n x n Gram
+matrix and the n-vectors of the iterate, all allocated once for the atom
+budget n. Set-up evaluates the target's closed-form mean map at the pool in
+row tiles of about 1 MB (kernels._TILE_BYTES), never as an M x K block for a
+K-component target, and the loop folds each new atom's kernel column into
+the running correlation and drops it. The fully corrective variant
+re-weights every atom after each step, so it keeps every chosen atom's
+column in one n x M buffer (8nM bytes: 32 MB at n=200, M=20000), rebuilt
+into the correlation with one vector-matrix product, and the n x n factor
+beside the Gram matrix (8n^2 bytes each: 0.32 MB at n=200).
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ import enum
 import warnings
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs as _trtrs
 
 from .errors import NumericalError
 from .kernels import (
@@ -59,6 +73,9 @@ _DENOM_FLOOR = 1e-14
 _ERR2_FLOOR = 1e-15  # squared-error level treated as exact recovery
 _QP_TOL = 1e-10
 _ACTIVE_EPS = 1e-12  # the KKT residual counts weights above this as support
+# squared RKHS distance from a new atom to the chosen atoms' span below which
+# FCFW does not append it (QuadratureState._append_atom)
+_SPAN_FLOOR = 1e-10
 
 
 class FwVariant(enum.Enum):
@@ -74,17 +91,21 @@ class QuadratureState:
 
     Holds the search pool with precomputed mean-map values and the current
     iterate g_k = sum_i w_i Phi(x_i) in expanded form (chosen pool indices,
-    weights, their Gram matrix). The empty state represents g_0 = 0.
+    weights, their Gram matrix and mean-map values). The empty state
+    represents g_0 = 0. Those arrays are allocated once for `capacity` atoms,
+    the run's atom budget, and `idxs`, `weights`, `gram` and `mu_sel` are
+    views of their leading k entries.
 
-    With col_capacity > 0 the state also keeps the kernel column
-    kappa(x_i, pool) of each chosen atom as row i of `cols`, a row-major
-    (col_capacity, M) buffer allocated once; the fully corrective step needs
-    it, and col_capacity bounds the atom count. With the default 0, `cols` is
-    None and no column outlives the step that uses it.
+    A corrective state (the fully corrective step) also keeps, as row i of
+    `cols`, the kernel column kappa(x_i, pool) of each chosen atom in a
+    row-major (capacity, M) buffer, and in `chol` the lower Cholesky factor of
+    the chosen atoms' Gram matrix, column-major so that LAPACK reads its
+    leading blocks in place. Otherwise `cols` and `chol` are None and no
+    column outlives the step that uses it.
     """
 
     def __init__(self, target: GaussianMixture, kernel: KernelConfig, pool,
-                 pool_components=None, col_capacity: int = 0):
+                 capacity: int, pool_components=None, corrective: bool = False):
         if target.dim != kernel.dim:
             raise ValueError("target and kernel dimensions disagree")
         self.target = target
@@ -100,17 +121,36 @@ class QuadratureState:
         self.sqnorm = mean_map_sqnorm(target, kernel)
         m = self.pool.shape[0]
         self.pool_cross = np.zeros(m)  # sum_i w_i kappa(x_i, pool_j)
-        self.idxs: list[int] = []
-        self.weights = np.zeros(0)
-        self.gram = np.zeros((0, 0))
-        self.mu_sel = np.zeros(0)
-        self.cols = np.empty((col_capacity, m)) if col_capacity > 0 else None
+        self.n_chosen = 0
+        self._idx = np.zeros(capacity, dtype=np.intp)
+        self._w = np.zeros(capacity)
+        self._gram = np.zeros((capacity, capacity))
+        self._mu = np.zeros(capacity)
+        self.cols = np.empty((capacity, m)) if corrective else None
+        self._chol = np.zeros((capacity, capacity), order="F") if corrective else None
         self.gg = 0.0   # <g, g>
         self.gmu = 0.0  # <g, mu_p>
 
     @property
-    def n_chosen(self) -> int:
-        return len(self.idxs)
+    def idxs(self) -> np.ndarray:
+        return self._idx[:self.n_chosen]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._w[:self.n_chosen]
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self._gram[:self.n_chosen, :self.n_chosen]
+
+    @property
+    def mu_sel(self) -> np.ndarray:
+        return self._mu[:self.n_chosen]
+
+    @property
+    def chol(self) -> np.ndarray | None:
+        """Lower factor of `gram`, as (capacity, k) columns; rows k on are zero."""
+        return None if self._chol is None else self._chol[:, :self.n_chosen]
 
     @property
     def objective(self) -> float:
@@ -124,9 +164,9 @@ class QuadratureState:
 
     @property
     def chosen(self) -> WeightedParticleSet:
-        if not self.idxs:
+        if not self.n_chosen:
             raise ValueError("no atoms chosen yet (iterate is g_0 = 0)")
-        sel = np.asarray(self.idxs, dtype=np.intp)
+        sel = self.idxs
         anc = None if self.pool_components is None else self.pool_components[sel]
         return WeightedParticleSet(self.pool[sel], self.weights.copy(), ancestry=anc)
 
@@ -141,21 +181,32 @@ class QuadratureState:
         scale = -0.5 / self.kernel.sigma2
         return _exp_sqdist(self.pool[idx:idx + 1], self.pool, scale)[0]
 
-    def _append_atom(self, idx: int, col: np.ndarray):
-        sel = np.asarray(self.idxs, dtype=np.intp)
-        row = col[sel]
-        n = len(self.idxs)
-        gram = np.empty((n + 1, n + 1))
-        gram[:n, :n] = self.gram
-        gram[n, :n] = row
-        gram[:n, n] = row
-        gram[n, n] = 1.0
-        self.gram = gram
-        self.idxs.append(int(idx))
-        self.mu_sel = np.append(self.mu_sel, self.pool_mu[idx])
-        self.weights = np.append(self.weights, 0.0)
-        if self.cols is not None:
+    def _append_atom(self, idx: int, col: np.ndarray) -> bool:
+        """Append pool[idx] at weight zero; False if the span guard refuses it.
+
+        A corrective state grows its factor by the row l solving L l = r, r
+        the new atom's Gram row. 1 - |l|^2 is then the atom's squared RKHS
+        distance to the span of the chosen atoms, and below _SPAN_FLOOR the
+        atom is not appended: the Gram matrix would be numerically singular.
+        """
+        n = self.n_chosen
+        row = col[self.idxs]
+        if self._chol is not None:
+            l = _trtrs(self._chol[:, :n], row, lower=1)[0]
+            schur = 1.0 - float(l @ l)
+            if schur < _SPAN_FLOOR:
+                return False
+            self._chol[n, :n] = l
+            self._chol[n, n] = np.sqrt(schur)
             self.cols[n] = col
+        self._gram[n, :n] = row
+        self._gram[:n, n] = row
+        self._gram[n, n] = 1.0
+        self._idx[n] = idx
+        self._mu[n] = self.pool_mu[idx]
+        self._w[n] = 0.0
+        self.n_chosen = n + 1
+        return True
 
 
 def fw_vertex_search(state: QuadratureState) -> int:
@@ -190,89 +241,129 @@ class QpConvergenceError(NumericalError):
         super().__init__(f"simplex QP did not reach tolerance (residual {residual:.3e})")
 
 
-def simplex_qp_kkt_residual(gram: np.ndarray, linear: np.ndarray, w: np.ndarray) -> float:
-    """Max of gradient spread on the support and complementarity violation."""
-    g = 2.0 * (gram @ w - linear)
+def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
     support = w > _ACTIVE_EPS
     if not support.any():
         return np.inf
-    g_sup = g[support]
+    g_sup = grad[support]
     spread = float(g_sup.max() - g_sup.min())
     lam = float(g_sup.min())
     inactive = ~support
-    viol = float(np.maximum(lam - g[inactive], 0.0).max()) if inactive.any() else 0.0
+    viol = float(np.maximum(lam - grad[inactive], 0.0).max()) if inactive.any() else 0.0
     return max(spread, viol)
 
 
-def _objective(gram: np.ndarray, linear: np.ndarray, w: np.ndarray) -> float:
-    return float(w @ (gram @ w) - 2.0 * linear @ w)
+def simplex_qp_kkt_residual(gram: np.ndarray, linear: np.ndarray, w: np.ndarray) -> float:
+    """Max of gradient spread on the support and complementarity violation."""
+    return _kkt_residual(2.0 * (gram @ w - linear), w)
+
+
+def _support_minimizer(gram, linear, idx, chol):
+    """Minimizer of w'Kw - 2c'w on the affine hull {sum w = 1} of the support idx.
+
+    When idx is a prefix of the atoms, L = chol's leading block factors K_SS,
+    and with p = L^-1 c_S and q = L^-1 1 the minimizer is L^-T (p + mu q),
+    mu = (1 - q'p) / q'q.
+    """
+    s = idx.size
+    if chol is not None and idx[-1] == s - 1:
+        factor = chol[:, :s]
+        # one right-hand side per call: OpenBLAS threads a multi-column
+        # triangular solve, which then costs milliseconds at this size
+        p = _trtrs(factor, linear[:s], lower=1)[0]
+        q = _trtrs(factor, np.ones(s), lower=1, overwrite_b=1)[0]
+        p += ((1.0 - q @ p) / (q @ q)) * q
+        return _trtrs(factor, p, lower=1, trans=1, overwrite_b=1)[0]
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = 2.0 * gram[np.ix_(idx, idx)]
+    kkt[:s, s] = 1.0
+    kkt[s, :s] = 1.0
+    rhs = np.concatenate([2.0 * linear[idx], [1.0]])
+    try:
+        return np.linalg.solve(kkt, rhs)[:s]
+    except np.linalg.LinAlgError:
+        ridge = np.eye(s + 1) * 1e-12
+        ridge[s, s] = 0.0
+        return np.linalg.lstsq(kkt + ridge, rhs, rcond=None)[0][:s]
 
 
 def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
-                     w0=None) -> np.ndarray:
+                     w0=None, chol=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve the simplex QP to a KKT residual of at most tol.
 
     Wolfe's min-norm-point method (Math. Programming 1976) in weight form, a
-    primal active-set method. Each round solves the KKT system of the QP
-    restricted to the affine hull of the support. A minimizer with a negative
-    weight is approached from the current iterate only until the first weight
-    reaches zero, and the atoms at zero leave the support. Otherwise the
-    minimizer becomes the iterate, and the outside atom of most negative
-    gradient joins the support, until none undercuts the support's gradient
-    by more than tol / 2. No round raises the objective, so the last iterate
-    is the lowest found. Rounds are capped at 10 (k+1)^2; an iterate whose
-    KKT residual exceeds tol raises QpConvergenceError with it attached.
+    primal active-set method. Each round minimizes the objective on the
+    affine hull of the support (_support_minimizer). A minimizer with a
+    negative weight is approached from the current iterate only until the
+    first weight reaches zero, and the atoms at zero leave the support.
+    Otherwise the minimizer becomes the iterate, and the outside atom of most
+    negative gradient joins the support, until none undercuts the support's
+    gradient by more than tol / 2. A warm start whose gradient spread on its
+    support is already at most tol / 2, as the previous step's solution is,
+    skips the first round's solve. No round raises the objective, so the
+    last iterate is the lowest found. Rounds are capped at 10 (k+1)^2; an
+    iterate whose KKT residual exceeds tol raises QpConvergenceError with it
+    attached.
 
     gram is the (k, k) float Gram matrix of the chosen atoms, symmetric PSD,
     and linear their (k,) float mean-map values; neither is checked. w0 is an
-    optional warm start, clipped at zero and renormalized.
+    optional warm start, clipped at zero and renormalized. chol, if given, is
+    the lower Cholesky factor of gram, stored column-major with at least k
+    rows (QuadratureState.chol). A support made of the first s atoms is then
+    solved with its leading s x s block by three triangular solves, O(s^2)
+    with no gather. Any other support, which FCFW meets only after dropping
+    an atom other than the last, and every support when chol is None, solves
+    its (s+1)-square bordered KKT system by LU, and by ridge-regularized
+    least squares when that system is singular (a duplicated atom).
+
+    Returns (w, grad): the weights and the objective's gradient
+    2 (gram w - linear) at them.
     """
     k = linear.shape[0]
     if k == 1:
-        return np.ones(1)
+        w = np.ones(1)
+        return w, 2.0 * (gram[0] - linear)
+    grad = None
     if w0 is None:
         w = np.full(k, 1.0 / k)
     else:
         w = np.maximum(np.asarray(w0, dtype=float).reshape(-1), 0.0)
         w = w / w.sum() if w.sum() > 0 else np.full(k, 1.0 / k)
+        grad = 2.0 * (gram @ w - linear)
+        g_sup = grad[w > 0.0]
+        if g_sup.max() - g_sup.min() > 0.5 * tol:
+            grad = None
     support = w > 0.0
     for _ in range(10 * (k + 1) ** 2):
         idx = np.flatnonzero(support)
-        s = idx.size
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = 2.0 * gram[np.ix_(idx, idx)]
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs = np.concatenate([2.0 * linear[idx], [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)[:s]
-        except np.linalg.LinAlgError:
-            ridge = np.eye(s + 1) * 1e-12
-            ridge[s, s] = 0.0
-            sol = np.linalg.lstsq(kkt + ridge, rhs, rcond=None)[0][:s]
-        neg = np.flatnonzero(sol < 0.0)
-        if neg.size:
-            w_s = w[idx]
-            ratios = w_s[neg] / (w_s[neg] - sol[neg])
-            t = ratios.min()
-            w_s += t * (sol - w_s)
-            hit = neg[(ratios == t) | (w_s[neg] <= 0.0)]
-            w_s[hit] = 0.0
-            w[idx] = w_s
-            support[idx[hit]] = False
-            continue
-        w[:] = 0.0
-        w[idx] = sol
-        w /= w.sum()
-        grad = 2.0 * (gram @ w - linear)
+        if grad is None:
+            sol = _support_minimizer(gram, linear, idx, chol)
+            neg = np.flatnonzero(sol < 0.0)
+            if neg.size:
+                w_s = w[idx]
+                ratios = w_s[neg] / (w_s[neg] - sol[neg])
+                t = ratios.min()
+                w_s += t * (sol - w_s)
+                hit = neg[(ratios == t) | (w_s[neg] <= 0.0)]
+                w_s[hit] = 0.0
+                w[idx] = w_s
+                support[idx[hit]] = False
+                continue
+            w[:] = 0.0
+            w[idx] = sol
+            w /= w.sum()
+            grad = 2.0 * (gram @ w - linear)
         violations = np.where(support, -np.inf, grad[idx].min() - grad)
         j = int(np.argmax(violations))
         if violations[j] <= 0.5 * tol:
             break
         support[j] = True
-    res = simplex_qp_kkt_residual(gram, linear, w)
+        grad = None
+    if grad is None:
+        grad = 2.0 * (gram @ w - linear)
+    res = _kkt_residual(grad, w)
     if res <= tol:
-        return w
+        return w, grad
     raise QpConvergenceError(w, res)
 
 
@@ -291,36 +382,39 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
 
     if variant is FwVariant.FCFW:
         if state.cols is None:
-            raise ValueError("FCFW needs a state built with col_capacity > 0")
+            raise ValueError("FCFW needs a state built with corrective=True")
         if not known:
-            state._append_atom(idx, col)
+            # a vertex the span guard refuses is treated as a known one
+            known = not state._append_atom(idx, col)
         gram, linear = state.gram, state.mu_sel
-        f_old = _objective(gram, linear, state.weights) if not first else np.inf
+        # appending at weight zero leaves the objective where the last step left it
+        f_old = np.inf if first else state.gg - 2.0 * state.gmu
         residual = None
         try:
-            w_new = simplex_qp_solve(gram, linear, tol=_QP_TOL,
-                                     w0=None if first else state.weights)
+            w_new, grad = simplex_qp_solve(gram, linear, _QP_TOL,
+                                           None if first else state.weights, state.chol)
         except QpConvergenceError as e:
             # the uncertified iterate is kept only if it lowers the objective
-            w_new = e.best
-            residual = e.residual
-        f_new = _objective(gram, linear, w_new)
+            w_new, residual = e.best, e.residual
+            grad = 2.0 * (gram @ w_new - linear)
+        gmu = float(w_new @ linear)
+        gg = float(w_new @ grad) / 2.0 + gmu  # grad = 2 (K w - c)
+        f_new = gg - 2.0 * gmu
         rejected = f_new > f_old + 1e-15
         if rejected:
             # never accept a worse corrective step than the warm start
-            w_new = state.weights
             f_new = f_old
+        else:
+            state.weights[:] = w_new
+            state.gg, state.gmu = gg, gmu
         if residual is not None:
             warnings.warn(
                 f"FCFW corrective QP stopped at KKT residual {residual:.3e}; "
                 f"its best iterate was {'rejected' if rejected else 'kept'}",
                 RuntimeWarning, stacklevel=3,
             )
-        no_progress = known and f_new >= f_old - 1e-15
-        state.weights = w_new
         state.pool_cross = state.weights @ state.cols[:state.n_chosen]
-        state._refresh_inner_products()
-        return not no_progress
+        return not (known and f_new >= f_old - 1e-15)
 
     if first:
         gamma = 1.0
@@ -337,16 +431,14 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
         # duplicates stay separate atoms so the emitted weights are exactly
         # uniform; the Gram matrix is never inverted for this variant
         state._append_atom(idx, col)
-        state.weights = np.full(state.n_chosen, 1.0 / state.n_chosen)
+        state.weights[:] = 1.0 / state.n_chosen
     else:
-        if known:
-            pos = state.idxs.index(idx)
-            state.weights = (1.0 - gamma) * state.weights
-            state.weights[pos] += gamma
-        else:
+        pos = int(np.flatnonzero(state.idxs == idx)[0]) if known else state.n_chosen
+        if not known:
             state._append_atom(idx, col)
-            state.weights = (1.0 - gamma) * state.weights
-            state.weights[-1] = gamma
+        w = state.weights
+        w *= 1.0 - gamma
+        w[pos] += gamma
     # (1 - gamma) * pool_cross + gamma * col, in place; col is not used again
     state.pool_cross *= 1.0 - gamma
     col *= gamma
@@ -381,7 +473,10 @@ def fw_quad(
         (particles, fw_error): the weighted particle set (ancestry = generating
         mixture component where known) and the closed-form ||g - mu_p||. The
         set may hold fewer than n atoms: the run stops once the squared error
-        falls under 1e-15.
+        falls under 1e-15, an FW-LS run once its line search returns a zero
+        step, and an FCFW run once a step onto a chosen atom, or onto one the
+        span guard refuses (see the module docstring), lowers the objective
+        no further.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -394,11 +489,9 @@ def fw_quad(
         m = pool.shape[0]
     if m < n:
         raise ValueError(f"pool size {m} smaller than particle budget {n}")
-    # FCFW appends at most one atom per iteration, so n rows always suffice
-    state = QuadratureState(
-        p, k, pool, pool_components=comps,
-        col_capacity=n if variant is FwVariant.FCFW else 0,
-    )
+    # each iteration appends at most one atom, so n always suffice
+    state = QuadratureState(p, k, pool, n, pool_components=comps,
+                            corrective=variant is FwVariant.FCFW)
     for _ in range(n):
         progressed = _advance(state, variant)
         if objective_trace is not None:

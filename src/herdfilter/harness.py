@@ -222,8 +222,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"unknown sampler(s) {unknown} for kind {cfg.kind!r}; valid: {list(valid)}"
         )
-    if not cfg.sigma2s or any(v <= 0 for v in cfg.sigma2s):
-        raise ConfigError("[methods] sigma2 must be a nonempty list of positives")
+    if not cfg.sigma2s or not all(0 < v < np.inf for v in cfg.sigma2s):
+        raise ConfigError("[methods] sigma2 must be a nonempty list of finite positives")
     if not cfg.n_grid or any(n < 1 for n in cfg.n_grid):
         raise ConfigError("[grid] n must be a nonempty list of positive integers")
     for name, values in (

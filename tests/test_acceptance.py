@@ -144,7 +144,7 @@ def test_criterion_05_fcfw_monotone_and_qp_kkt():
         sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
         gram = np.exp(-sq / (2.0 * float(rng.uniform(0.3, 2.0))))
         lin = rng.random(k_atoms)
-        w = simplex_qp_solve(gram, lin)
+        w, _ = simplex_qp_solve(gram, lin)
         g = 2.0 * (gram @ w - lin)
         lam = g.min()
         worst_kkt = max(worst_kkt, float((g[w > 0] - lam).max()))

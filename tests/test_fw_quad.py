@@ -1,5 +1,6 @@
 import importlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from herdfilter.fw_quad import (
     QuadratureState,
     _advance,
     _line_search_step,
-    _objective,
     fw_quad,
     fw_vertex_search,
     simplex_qp_kkt_residual,
@@ -58,6 +58,15 @@ def simplex_grid_min(gram, lin):
     return float((np.einsum("ci,ij,cj->c", cand, gram, cand) - 2.0 * cand @ lin).min())
 
 
+def _objective(gram, linear, w):
+    return float(w @ (gram @ w) - 2.0 * linear @ w)
+
+
+def kept_factor(gram):
+    """Lower Cholesky factor, column-major, as QuadratureState keeps it."""
+    return np.asfortranarray(np.linalg.cholesky(gram))
+
+
 def random_mixture(rng, dim=2, n_comp=4):
     w = rng.random(n_comp) + 0.1
     w /= w.sum()
@@ -70,12 +79,12 @@ class TestVertexSearch:
     def test_first_iteration_maximizes_mean_map(self):
         p = std_normal_1d()
         pool = np.linspace(-3, 3, 31)[:, None]
-        state = QuadratureState(p, UNIT_1D, pool)
+        state = QuadratureState(p, UNIT_1D, pool, 1)
         idx = fw_vertex_search(state)
         assert idx == int(np.argmax(state.pool_mu))
 
     def test_single_point_pool(self):
-        state = QuadratureState(std_normal_1d(), UNIT_1D, np.array([[0.7]]))
+        state = QuadratureState(std_normal_1d(), UNIT_1D, np.array([[0.7]]), 1)
         assert fw_vertex_search(state) == 0
 
     def test_matches_brute_force_recomputation(self):
@@ -84,7 +93,7 @@ class TestVertexSearch:
             p = random_mixture(rng)
             k = KernelConfig(0.8, 2)
             pool, _ = p.sample(200, rng)
-            state = QuadratureState(p, k, pool)
+            state = QuadratureState(p, k, pool, 6)
             for _ in range(6):
                 _advance(state, FwVariant.FW_LS)
             sel = state.pool[np.asarray(state.idxs)]
@@ -98,7 +107,7 @@ class TestVertexSearch:
         # symmetric target, symmetric pool: both extremes score identically
         p = std_normal_1d()
         pool = np.array([[-1.0], [1.0]])
-        state = QuadratureState(p, UNIT_1D, pool)
+        state = QuadratureState(p, UNIT_1D, pool, 1)
         assert fw_vertex_search(state) == 0
 
 
@@ -115,7 +124,7 @@ class TestLineSearch:
     def build_state(self, rng, iters=3):
         p = random_mixture(rng, dim=1, n_comp=3)
         pool, _ = p.sample(150, rng)
-        state = QuadratureState(p, UNIT_1D, pool)
+        state = QuadratureState(p, UNIT_1D, pool, iters)
         for _ in range(iters):
             _advance(state, FwVariant.FW_LS)
         return state
@@ -130,7 +139,7 @@ class TestLineSearch:
     def test_zero_step_onto_current_iterate(self):
         p = std_normal_1d()
         pool = np.linspace(-2, 2, 21)[:, None]
-        state = QuadratureState(p, UNIT_1D, pool)
+        state = QuadratureState(p, UNIT_1D, pool, 1)
         _advance(state, FwVariant.FW_LS)
         v = state.pool[state.idxs[0]]
         assert line_search_toward(state, v) == 0.0
@@ -168,8 +177,7 @@ class TestColumnBuffer:
         Returns the state and the number of steps whose vertex was already
         chosen.
         """
-        cap = iters if variant is FwVariant.FCFW else 0
-        state = QuadratureState(p, k, pool, col_capacity=cap)
+        state = QuadratureState(p, k, pool, iters, corrective=variant is FwVariant.FCFW)
         known_steps = 0
         for _ in range(iters):
             before = state.n_chosen
@@ -223,7 +231,7 @@ class TestColumnBuffer:
         p = random_mixture(rng, dim=d)
         k = KernelConfig(0.7, d)
         pool, _ = p.sample(501, rng)
-        state = QuadratureState(p, k, pool)
+        state = QuadratureState(p, k, pool, 1)
         idx = 250
         assert np.array_equal(
             state._column(idx), kernel_cross(pool, pool[idx][None], k)[:, 0]
@@ -249,7 +257,7 @@ class TestColumnBuffer:
         assert fc_state.cols.shape == (6, 300)
 
     def test_fcfw_without_buffer_rejected(self):
-        state = QuadratureState(std_normal_1d(), UNIT_1D, np.linspace(-1, 1, 5)[:, None])
+        state = QuadratureState(std_normal_1d(), UNIT_1D, np.linspace(-1, 1, 5)[:, None], 1)
         with pytest.raises(ValueError):
             _advance(state, FwVariant.FCFW)
 
@@ -258,9 +266,95 @@ class TestColumnBuffer:
         pool = np.linspace(-1.0, 1.0, 5)[:, None]
         pool[2, 0] = np.nan
         with pytest.raises(ValueError, match="pool"):
-            QuadratureState(std_normal_1d(), UNIT_1D, pool)
+            QuadratureState(std_normal_1d(), UNIT_1D, pool, 1)
         with pytest.raises(ValueError, match="pool"):
             fw_quad(std_normal_1d(), UNIT_1D, 2, 5, pool=pool)
+
+
+class TestKeptFactor:
+    """The Cholesky factor of the chosen atoms' Gram matrix, and its span guard."""
+
+    fwq = importlib.import_module("herdfilter.fw_quad")
+
+    def test_factor_tracks_gram_after_every_append(self):
+        rng = np.random.default_rng(33)
+        p = random_mixture(rng, dim=3)
+        k = KernelConfig(0.8, 3)
+        pool, _ = p.sample(400, rng)
+        state = QuadratureState(p, k, pool, 30, corrective=True)
+        appended = 0
+        for _ in range(30):
+            old_gram = state.gram.copy()
+            _advance(state, FwVariant.FCFW)
+            n = state.n_chosen
+            if n == appended:
+                continue
+            appended = n
+            chol = state.chol[:n]
+            np.testing.assert_array_equal(np.triu(chol, 1), 0.0)
+            np.testing.assert_allclose(chol @ chol.T, state.gram, rtol=0, atol=1e-12)
+            r = state.gram[-1, :-1]
+            schur = 1.0 - r @ np.linalg.solve(old_gram, r) if n > 1 else 1.0
+            assert chol[-1, -1] ** 2 == pytest.approx(schur, rel=0, abs=1e-12)
+            np.testing.assert_array_equal(state.chol[n:], 0.0)
+        assert appended >= 20
+
+    def test_duplicate_never_appended(self):
+        # pool point 7 repeats point 3 exactly, so its distance to the span is 0
+        p = std_normal_1d()
+        pool = np.linspace(-2.0, 2.0, 9)[:, None]
+        pool[7] = pool[3]
+        state = QuadratureState(p, UNIT_1D, pool, 9, corrective=True)
+        while 3 not in state.idxs:
+            assert _advance(state, FwVariant.FCFW)
+        before = (state.n_chosen, state.gram.copy(), state.chol.copy())
+        assert not state._append_atom(7, state._column(7))
+        assert state.n_chosen == before[0]
+        np.testing.assert_array_equal(state.gram, before[1])
+        np.testing.assert_array_equal(state.chol, before[2])
+
+    def test_refused_vertex_stops_like_a_known_one(self, monkeypatch):
+        p = std_normal_1d()
+        pool = np.linspace(-2.0, 2.0, 9)[:, None]
+        pool[7] = pool[3]
+        state = QuadratureState(p, UNIT_1D, pool, 9, corrective=True)
+        while 3 not in state.idxs:
+            _advance(state, FwVariant.FCFW)
+        before = (state.n_chosen, state.weights.copy(), state.objective)
+        monkeypatch.setattr(self.fwq, "fw_vertex_search", lambda state: 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _advance(state, FwVariant.FCFW)
+        assert 7 not in state.idxs
+        assert state.n_chosen == before[0]
+        np.testing.assert_allclose(state.weights, before[1], rtol=0, atol=1e-15)
+        assert state.objective == pytest.approx(before[2], rel=0, abs=1e-15)
+
+    def test_guard_stops_1d_rate_run(self, monkeypatch):
+        # pool seed 51 of test_rate_and_ordering_1d at n = 40: in 1-d the pool
+        # fills the chosen atoms' span, and the guard ends the run before n
+        p = GaussianMixture([0.5, 0.5], [[-1.0], [1.5]], np.array([[[0.6]], [[1.0]]]))
+        refused = []
+        append = QuadratureState._append_atom
+
+        def recording(state, idx, col):
+            ok = append(state, idx, col)
+            refused.append(not ok)
+            return ok
+
+        monkeypatch.setattr(QuadratureState, "_append_atom", recording)
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, err = fw_quad(p, UNIT_1D, 40, 4000, FwVariant.FCFW, rng_seed=51,
+                               objective_trace=trace)
+        assert refused[-1] and not any(refused[:-1])
+        assert len(trace) < 40 and out.n < len(refused)
+        assert np.diff(trace).max(initial=0.0) <= 1e-12
+        assert err == pytest.approx(mmd(p, out, UNIT_1D), rel=0, abs=1e-9)
+        # appending past the guard, onto a Gram matrix with a negative
+        # eigenvalue, reached 1.0627153074465458e-05; the guard gives up 2%
+        assert err <= 1.03 * 1.0627153074465458e-05
 
 
 class TestQpFallback:
@@ -282,7 +376,7 @@ class TestQpFallback:
         p = random_mixture(rng)
         k = KernelConfig(0.8, 2)
         pool, _ = p.sample(300, rng)
-        state = QuadratureState(p, k, pool, col_capacity=steps + 1)
+        state = QuadratureState(p, k, pool, steps + 1, corrective=True)
         for _ in range(steps):
             assert _advance(state, FwVariant.FCFW)
         return state
@@ -292,8 +386,8 @@ class TestQpFallback:
         solve = simplex_qp_solve
         best = []
 
-        def stalled(gram, linear, tol, w0=None):
-            best.append(solve(gram, linear, tol, w0))
+        def stalled(gram, linear, tol, w0, chol):
+            best.append(solve(gram, linear, tol, w0, chol)[0])
             raise QpConvergenceError(best[-1], 3.0e-7)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
@@ -312,7 +406,7 @@ class TestQpFallback:
         before = state.objective
         worse = []
 
-        def stalled(gram, linear, tol, w0=None):
+        def stalled(gram, linear, tol, w0, chol):
             best = self.worst_vertex(linear)
             worse.append(_objective(gram, linear, best) > _objective(gram, linear, w0) + 1e-15)
             raise QpConvergenceError(best, 2.0e-6)
@@ -333,9 +427,10 @@ class TestQpFallback:
         solve = simplex_qp_solve
         calls = []
 
-        def stalled(gram, linear, tol, w0=None):
+        def stalled(gram, linear, tol, w0, chol):
             calls.append(None)
-            best = solve(gram, linear, tol, w0) if len(calls) % 2 else self.worst_vertex(linear)
+            best = (solve(gram, linear, tol, w0, chol)[0] if len(calls) % 2
+                    else self.worst_vertex(linear))
             raise QpConvergenceError(best, 1.0e-8)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
@@ -355,26 +450,29 @@ class TestQpFallback:
 class TestSimplexQp:
     def test_singleton(self):
         np.testing.assert_array_equal(
-            simplex_qp_solve(np.eye(1), np.array([0.3])), [1.0]
+            simplex_qp_solve(np.eye(1), np.array([0.3]))[0], [1.0]
         )
 
     def test_frozen_two_dim_example(self):
         # stationarity 2w1 - 2 = 2w2 on the simplex pins the vertex (1, 0);
         # a 1e-5 grid search over the simplex agrees (objective -1.0)
-        w = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-10)
+        for chol in (None, kept_factor(np.eye(2))):
+            w, _ = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]), chol=chol)
+            np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-10)
 
     def test_frozen_interior_example(self):
         # linear spread of 0.5 puts the optimum strictly inside: w = (0.75, 0.25)
-        w = simplex_qp_solve(np.eye(2), np.array([0.5, 0.0]))
-        np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-10)
+        for chol in (None, kept_factor(np.eye(2))):
+            w, _ = simplex_qp_solve(np.eye(2), np.array([0.5, 0.0]), chol=chol)
+            np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-10)
 
     def test_against_grid_search(self):
-        w = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]))
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-5)
         vals = grid**2 + (1 - grid) ** 2 - 2 * grid
         w1 = grid[np.argmin(vals)]
-        assert w[0] == pytest.approx(w1, abs=1e-5)
+        for chol in (None, kept_factor(np.eye(2))):
+            w, _ = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]), chol=chol)
+            assert w[0] == pytest.approx(w1, abs=1e-5)
 
     def test_random_instances_kkt_and_vertices(self):
         rng = np.random.default_rng(24)
@@ -385,17 +483,19 @@ class TestSimplexQp:
             d = np.sqrt(np.diag(gram))
             gram = gram / np.outer(d, d)  # unit diagonal like a kernel matrix
             lin = rng.random(k)
-            w = simplex_qp_solve(gram, lin)
-            assert np.all(w >= 0.0)
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
-            assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-8
-            obj = w @ gram @ w - 2 * lin @ w
-            for i in range(k):
-                e = np.zeros(k)
-                e[i] = 1.0
-                assert obj <= e @ gram @ e - 2 * lin @ e + 1e-12
+            for chol in (None, kept_factor(gram)):
+                w, grad = simplex_qp_solve(gram, lin, chol=chol)
+                assert np.all(w >= 0.0)
+                assert w.sum() == pytest.approx(1.0, abs=1e-12)
+                assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-8
+                np.testing.assert_allclose(grad, 2.0 * (gram @ w - lin), rtol=0, atol=1e-14)
+                obj = w @ gram @ w - 2 * lin @ w
+                for i in range(k):
+                    e = np.zeros(k)
+                    e[i] = 1.0
+                    assert obj <= e @ gram @ e - 2 * lin @ e + 1e-12
 
-    def test_warm_start_never_hurts(self):
+    def test_warm_start_never_hurts(self, monkeypatch):
         rng = np.random.default_rng(25)
         a = rng.standard_normal((5, 5))
         gram = a @ a.T / 5
@@ -404,9 +504,10 @@ class TestSimplexQp:
         gram /= gram.max()
         lin = rng.random(5)
         w0 = np.array([0.9, 0.05, 0.05, 0.0, 0.0])
-        w = simplex_qp_solve(gram, lin, w0=w0)
         f = lambda v: v @ gram @ v - 2 * lin @ v
-        assert f(w) <= f(w0) + 1e-14
+        for chol in (None, kept_factor(gram)):
+            w, _ = simplex_qp_solve(gram, lin, w0=w0, chol=chol)
+            assert f(w) <= f(w0) + 1e-14
 
         # three atoms on a line, warm-started on all of them: the minimizer on
         # that support's affine hull gives the middle atom a negative weight,
@@ -417,11 +518,21 @@ class TestSimplexQp:
         kkt = np.block([[2.0 * gram, np.ones((3, 1))], [np.ones((1, 3)), np.zeros((1, 1))]])
         assert np.linalg.solve(kkt, np.append(2.0 * lin, 1.0))[1] < 0.0
         w0 = np.array([0.2, 0.4, 0.4])
-        w = simplex_qp_solve(gram, lin, w0=w0)
-        assert w[1] == 0.0
-        assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-10
         bound = min(_objective(gram, lin, w0), simplex_grid_min(gram, lin))
-        assert _objective(gram, lin, w) <= bound + 1e-12
+        # with the kept factor the full support is a prefix and takes the
+        # triangular solves; {0, 2}, after the drop, is not and takes LU
+        fwq = sys.modules["herdfilter.fw_quad"]
+        trtrs, lu = fwq._trtrs, np.linalg.solve
+        calls = []
+        monkeypatch.setattr(fwq, "_trtrs", lambda *a, **k: calls.append("tri") or trtrs(*a, **k))
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("lu") or lu(*a))
+        for chol in (None, kept_factor(gram)):
+            calls.clear()
+            w, _ = simplex_qp_solve(gram, lin, w0=w0, chol=chol)
+            assert w[1] == 0.0
+            assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-10
+            assert _objective(gram, lin, w) <= bound + 1e-12
+            assert calls == (["lu", "lu"] if chol is None else ["tri"] * 3 + ["lu"])
 
     @pytest.mark.parametrize("lin, w0", [
         (np.array([0.6, 0.6, 0.5]), np.array([0.3, 0.3, 0.4])),
@@ -440,7 +551,7 @@ class TestSimplexQp:
         monkeypatch.setattr(np.linalg, "lstsq", counted)
         a = np.exp(-0.5)
         gram = np.array([[1.0, 1.0, a], [1.0, 1.0, a], [a, a, 1.0]])
-        w = simplex_qp_solve(gram, lin, w0=w0)
+        w, _ = simplex_qp_solve(gram, lin, w0=w0)
         assert calls
         assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-10
         assert _objective(gram, lin, w) <= simplex_grid_min(gram, lin) + 1e-12

@@ -142,6 +142,8 @@ class TestLoadConfig:
         [
             ("samplers = skh_fw", "unknown sampler"),  # skh names are filter-only
             ("sigma2 = 0.0", "sigma2"),
+            pytest.param("sigma2 = nan", "finite positives", id="sigma2_nan"),
+            pytest.param("sigma2 = 1.0, inf", "finite positives", id="sigma2_inf"),
             ("n = ", r"\[grid\] n"),
             ("kind = quux", "unknown experiment kind"),
             pytest.param("samplers = mc, fw\nn = 10, 50",
@@ -595,6 +597,12 @@ class TestCli:
         twice = QUAD_CLI_INI.format(out=out).replace("n = 10, 20", "n = 10, 20, 10")
         assert cli.main(["quad", "--config", cfg_file(tmp_path, twice, "n.ini")]) == 2
         assert "n repeats [10]" in capsys.readouterr().err and not out.exists()
+
+        # a non-finite kernel width is refused at load, not by KernelConfig mid-grid
+        for bad in ("nan", "inf"):
+            text = QUAD_CLI_INI.format(out=out).replace("sigma2 = 1.0", f"sigma2 = {bad}")
+            assert cli.main(["quad", "--config", cfg_file(tmp_path, text, "s.ini")]) == 2
+            assert "finite positives" in capsys.readouterr().err and not out.exists()
 
         maybe = QUAD_CLI_INI.format(out=out).replace(
             "[methods]", "[model]\n    coupled = maybe\n    [methods]"
