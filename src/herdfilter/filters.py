@@ -14,7 +14,6 @@ consistent observation does not look like filter collapse.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,34 +296,6 @@ class FilterTrace:
     @property
     def T(self) -> int:
         return self.filtered_means.shape[0]
-
-    def write_csv(self, f) -> None:
-        """Serialize the trace, one row per timestep."""
-        if hasattr(f, "write"):
-            self._write_rows(f)
-        else:
-            with open(f, "w", newline="", encoding="utf-8") as fh:
-                self._write_rows(fh)
-
-    def _write_rows(self, fh) -> None:
-        d = self.filtered_means.shape[1]
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "method", "n", "seed"]
-            + [f"mean_{i}" for i in range(d)]
-            + ["w_hat", "log_z", "fw_error", "effective_n"]
-        )
-        for t in range(self.T):
-            writer.writerow(
-                [t + 1, self.method, self.n, self.seed]
-                + [repr(float(v)) for v in self.filtered_means[t]]
-                + [
-                    repr(float(self.w_hats[t])),
-                    repr(float(self.log_evidence[t])),
-                    repr(float(self.fw_errors[t])),
-                    int(self.effective_n[t]),
-                ]
-            )
 
 
 def _run(weigh, step, init: TransitionMixture, y, sampler, n, k, seed, keep_particles):

@@ -12,19 +12,15 @@ corrective variant).
 The corrective QP's optimum is the point of the atoms' convex hull nearest
 the target's mean embedding, and Wolfe's min-norm-point method (Math.
 Programming 1976), run as an active-set loop over the weights, finds it
-exactly. Like Wolfe's, the loop works from a Cholesky factor: the state keeps
-the lower factor L of the chosen atoms' Gram matrix and grows it by one row
-per appended atom, with one triangular solve. The new diagonal's square,
-1 - r'G^-1 r for the atom's Gram row r, is its squared RKHS distance to the
-span of the atoms already chosen; under _SPAN_FLOOR the Gram matrix would be
-numerically singular, so the atom is not appended and the step is treated
-as one onto a known vertex, which ends the run unless re-weighting still
-lowers the objective. Only 1-d runs, whose pools soon lie in the span of
-20-odd atoms, come near the floor. A support that is a prefix of the chosen
-atoms, the usual case, is solved with L's leading block by three triangular
-solves; any other support falls back to an LU solve of its bordered KKT
-system. A QP that stops short of tolerance is carried on from its best
-iterate, if that lowers the objective, with a RuntimeWarning.
+exactly. Like Wolfe's, the loop keeps the Cholesky factor of its corral, the
+atoms of positive weight (SupportFactor), from one QP to the next, so each
+support is solved by one-column triangular solves: OpenBLAS threads none,
+and the bits do not depend on its thread count. An atom whose squared RKHS
+distance to the support's span is under _SPAN_FLOOR does not join; a new
+vertex so refused is not appended, and the step is treated as one onto a
+known vertex. Only 1-d runs, whose pools soon lie in the span of 20-odd
+atoms, come near the floor. A QP that stops short of tolerance is carried on
+from its best iterate, if that lowers the objective, with a RuntimeWarning.
 
 Memory: beyond the pool, FW and FW-LS keep O(M) floats plus the n x n Gram
 matrix and the n-vectors of the iterate, all allocated once for the atom
@@ -34,8 +30,8 @@ K-component target, and the loop folds each new atom's kernel column into
 the running correlation and drops it. The fully corrective variant
 re-weights every atom after each step, so it keeps every chosen atom's
 column in one n x M buffer (8nM bytes: 32 MB at n=200, M=20000), rebuilt
-into the correlation with one vector-matrix product, and the n x n factor
-beside the Gram matrix (8n^2 bytes each: 0.32 MB at n=200).
+into the correlation with one vector-matrix product, and the support's
+n x n factor beside the Gram matrix (8n^2 bytes each: 0.32 MB at n=200).
 """
 
 from __future__ import annotations
@@ -63,6 +59,7 @@ __all__ = [
     "FwVariant",
     "QuadratureState",
     "QpConvergenceError",
+    "SupportFactor",
     "fw_quad",
     "fw_vertex_search",
     "simplex_qp_solve",
@@ -73,8 +70,8 @@ _DENOM_FLOOR = 1e-14
 _ERR2_FLOOR = 1e-15  # squared-error level treated as exact recovery
 _QP_TOL = 1e-10
 _ACTIVE_EPS = 1e-12  # the KKT residual counts weights above this as support
-# squared RKHS distance from a new atom to the chosen atoms' span below which
-# FCFW does not append it (QuadratureState._append_atom)
+# squared RKHS distance from an atom to the support's span below which it
+# does not join the support (SupportFactor.append)
 _SPAN_FLOOR = 1e-10
 
 
@@ -84,6 +81,57 @@ class FwVariant(enum.Enum):
     FW = "fw"
     FW_LS = "fw-ls"
     FCFW = "fcfw"
+
+
+class SupportFactor:
+    """Lower Cholesky factor of the Gram block of a simplex QP's support.
+
+    Row r belongs to atom rows[r]. The leading size x size block of the
+    column-major buffer chol is in use, and the rest of it is zero.
+    """
+
+    def __init__(self, capacity: int):
+        self.chol = np.zeros((capacity, capacity), order="F")
+        self.rows = np.zeros(capacity, dtype=np.intp)
+        self.size = 0
+
+    @property
+    def atoms(self) -> np.ndarray:
+        return self.rows[:self.size]
+
+    def span_row(self, cross: np.ndarray, diag: float) -> tuple[np.ndarray, float]:
+        """(l, diag - l'l) for L l = cross[atoms], cross and diag an atom's Gram
+        entries by position: diag - l'l is its squared distance to the span."""
+        l = _trtrs(self.chol[:, :self.size], cross[self.atoms], lower=1)[0]
+        return l, diag - float(l @ l)
+
+    def append(self, atom: int, cross: np.ndarray, diag: float) -> bool:
+        """Add atom's row, or return False if span_row puts it under _SPAN_FLOOR."""
+        l, schur = self.span_row(cross, diag)
+        if schur < _SPAN_FLOOR:
+            return False
+        s = self.size
+        self.chol[s, :s] = l
+        self.chol[s, s] = np.sqrt(schur)
+        self.rows[s] = atom
+        self.size = s + 1
+        return True
+
+    def delete(self, r: int):
+        """Remove row r; Givens rotations restore the triangle in O(s^2) numpy work."""
+        s, chol = self.size, self.chol
+        chol[r:s - 1, :s] = chol[r + 1:s, :s]
+        self.rows[r:s - 1] = self.rows[r + 1:s]
+        for i in range(r, s - 1):
+            a, b = chol[i, i], chol[i, i + 1]
+            h = np.hypot(a, b)
+            c, t = a / h, b / h
+            left, right = chol[i:s - 1, i].copy(), chol[i:s - 1, i + 1].copy()
+            chol[i:s - 1, i] = c * left + t * right
+            chol[i:s - 1, i + 1] = c * right - t * left
+            chol[i, i + 1] = 0.0
+        chol[s - 1, :s] = 0.0
+        self.size = s - 1
 
 
 class QuadratureState:
@@ -98,10 +146,9 @@ class QuadratureState:
 
     A corrective state (the fully corrective step) also keeps, as row i of
     `cols`, the kernel column kappa(x_i, pool) of each chosen atom in a
-    row-major (capacity, M) buffer, and in `chol` the lower Cholesky factor of
-    the chosen atoms' Gram matrix, column-major so that LAPACK reads its
-    leading blocks in place. Otherwise `cols` and `chol` are None and no
-    column outlives the step that uses it.
+    row-major (capacity, M) buffer, and in `factor` the SupportFactor of the
+    support the last corrective QP ended on. Otherwise `cols` and `factor`
+    are None and no column outlives the step that uses it.
     """
 
     def __init__(self, target: GaussianMixture, kernel: KernelConfig, pool,
@@ -127,7 +174,7 @@ class QuadratureState:
         self._gram = np.zeros((capacity, capacity))
         self._mu = np.zeros(capacity)
         self.cols = np.empty((capacity, m)) if corrective else None
-        self._chol = np.zeros((capacity, capacity), order="F") if corrective else None
+        self.factor = SupportFactor(capacity) if corrective else None
         self.gg = 0.0   # <g, g>
         self.gmu = 0.0  # <g, mu_p>
 
@@ -146,11 +193,6 @@ class QuadratureState:
     @property
     def mu_sel(self) -> np.ndarray:
         return self._mu[:self.n_chosen]
-
-    @property
-    def chol(self) -> np.ndarray | None:
-        """Lower factor of `gram`, as (capacity, k) columns; rows k on are zero."""
-        return None if self._chol is None else self._chol[:, :self.n_chosen]
 
     @property
     def objective(self) -> float:
@@ -182,22 +224,13 @@ class QuadratureState:
         return _exp_sqdist(self.pool[idx:idx + 1], self.pool, scale)[0]
 
     def _append_atom(self, idx: int, col: np.ndarray) -> bool:
-        """Append pool[idx] at weight zero; False if the span guard refuses it.
-
-        A corrective state grows its factor by the row l solving L l = r, r
-        the new atom's Gram row. 1 - |l|^2 is then the atom's squared RKHS
-        distance to the span of the chosen atoms, and below _SPAN_FLOOR the
-        atom is not appended: the Gram matrix would be numerically singular.
-        """
+        """Append pool[idx] at weight zero; False if a corrective state's span
+        guard refuses it (SupportFactor.append). The QP factors it on joining."""
         n = self.n_chosen
         row = col[self.idxs]
-        if self._chol is not None:
-            l = _trtrs(self._chol[:, :n], row, lower=1)[0]
-            schur = 1.0 - float(l @ l)
-            if schur < _SPAN_FLOOR:
+        if self.factor is not None:
+            if self.factor.span_row(row, 1.0)[1] < _SPAN_FLOOR:
                 return False
-            self._chol[n, :n] = l
-            self._chol[n, n] = np.sqrt(schur)
             self.cols[n] = col
         self._gram[n, :n] = row
         self._gram[:n, n] = row
@@ -258,37 +291,25 @@ def simplex_qp_kkt_residual(gram: np.ndarray, linear: np.ndarray, w: np.ndarray)
     return _kkt_residual(2.0 * (gram @ w - linear), w)
 
 
-def _support_minimizer(gram, linear, idx, chol):
-    """Minimizer of w'Kw - 2c'w on the affine hull {sum w = 1} of the support idx.
+def _support_minimizer(linear: np.ndarray, factor: SupportFactor) -> np.ndarray:
+    """Minimizer of w'Kw - 2c'w on the affine hull {sum w = 1} of the support.
 
-    When idx is a prefix of the atoms, L = chol's leading block factors K_SS,
-    and with p = L^-1 c_S and q = L^-1 1 the minimizer is L^-T (p + mu q),
-    mu = (1 - q'p) / q'q.
+    With L the factor of K_SS, S its atoms, p = L^-1 c_S and q = L^-1 1 the
+    minimizer, in factor order, is L^-T (p + mu q), mu = (1 - q'p) / q'q.
     """
-    s = idx.size
-    if chol is not None and idx[-1] == s - 1:
-        factor = chol[:, :s]
-        # one right-hand side per call: OpenBLAS threads a multi-column
-        # triangular solve, which then costs milliseconds at this size
-        p = _trtrs(factor, linear[:s], lower=1)[0]
-        q = _trtrs(factor, np.ones(s), lower=1, overwrite_b=1)[0]
-        p += ((1.0 - q @ p) / (q @ q)) * q
-        return _trtrs(factor, p, lower=1, trans=1, overwrite_b=1)[0]
-    kkt = np.zeros((s + 1, s + 1))
-    kkt[:s, :s] = 2.0 * gram[np.ix_(idx, idx)]
-    kkt[:s, s] = 1.0
-    kkt[s, :s] = 1.0
-    rhs = np.concatenate([2.0 * linear[idx], [1.0]])
-    try:
-        return np.linalg.solve(kkt, rhs)[:s]
-    except np.linalg.LinAlgError:
-        ridge = np.eye(s + 1) * 1e-12
-        ridge[s, s] = 0.0
-        return np.linalg.lstsq(kkt + ridge, rhs, rcond=None)[0][:s]
+    s = factor.size
+    chol = factor.chol[:, :s]
+    # one right-hand side per call: OpenBLAS threads a multi-column
+    # triangular solve, which then costs milliseconds at this size
+    p = _trtrs(chol, linear[factor.atoms], lower=1)[0]
+    q = _trtrs(chol, np.ones(s), lower=1, overwrite_b=1)[0]
+    p += ((1.0 - q @ p) / (q @ q)) * q
+    return _trtrs(chol, p, lower=1, trans=1, overwrite_b=1)[0]
 
 
 def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
-                     w0=None, chol=None) -> tuple[np.ndarray, np.ndarray]:
+                     w0=None, factor: SupportFactor | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the simplex QP to a KKT residual of at most tol.
 
     Wolfe's min-norm-point method (Math. Programming 1976) in weight form, a
@@ -307,37 +328,39 @@ def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
 
     gram is the (k, k) float Gram matrix of the chosen atoms, symmetric PSD,
     and linear their (k,) float mean-map values; neither is checked. w0 is an
-    optional warm start, clipped at zero and renormalized. chol, if given, is
-    the lower Cholesky factor of gram, stored column-major with at least k
-    rows (QuadratureState.chol). A support made of the first s atoms is then
-    solved with its leading s x s block by three triangular solves, O(s^2)
-    with no gather. Any other support, which FCFW meets only after dropping
-    an atom other than the last, and every support when chol is None, solves
-    its (s+1)-square bordered KKT system by LU, and by ridge-regularized
-    least squares when that system is singular (a duplicated atom).
+    optional warm start, clipped at zero and renormalized. factor is the
+    SupportFactor the last call left, with room for k atoms, or None for a
+    fresh one. It is first made to factor w0's support, and an atom its span
+    guard refuses, such as a duplicate of a support atom, keeps weight zero.
 
     Returns (w, grad): the weights and the objective's gradient
     2 (gram w - linear) at them.
     """
     k = linear.shape[0]
-    if k == 1:
-        w = np.ones(1)
-        return w, 2.0 * (gram[0] - linear)
+    w = np.ones(k) if w0 is None else np.maximum(np.asarray(w0, dtype=float).reshape(-1), 0.0)
+    if w.sum() <= 0.0:
+        w = np.ones(k)
+    if factor is None:
+        factor = SupportFactor(k)
+    taken = np.zeros(k, dtype=bool)  # in the support, or refused by its guard
+    taken[factor.atoms] = True
+    for j in np.flatnonzero(taken != (w > 0.0)):  # make it factor w's support
+        if taken[j]:
+            factor.delete(int(np.flatnonzero(factor.atoms == j)[0]))
+        elif not factor.append(j, gram[j], gram[j, j]):
+            w[j] = 0.0
+        taken[j] = not taken[j]
+    w /= w.sum()
     grad = None
-    if w0 is None:
-        w = np.full(k, 1.0 / k)
-    else:
-        w = np.maximum(np.asarray(w0, dtype=float).reshape(-1), 0.0)
-        w = w / w.sum() if w.sum() > 0 else np.full(k, 1.0 / k)
+    if w0 is not None:
         grad = 2.0 * (gram @ w - linear)
-        g_sup = grad[w > 0.0]
+        g_sup = grad[factor.atoms]
         if g_sup.max() - g_sup.min() > 0.5 * tol:
             grad = None
-    support = w > 0.0
     for _ in range(10 * (k + 1) ** 2):
-        idx = np.flatnonzero(support)
+        idx = factor.atoms
         if grad is None:
-            sol = _support_minimizer(gram, linear, idx, chol)
+            sol = _support_minimizer(linear, factor)
             neg = np.flatnonzero(sol < 0.0)
             if neg.size:
                 w_s = w[idx]
@@ -347,18 +370,22 @@ def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
                 hit = neg[(ratios == t) | (w_s[neg] <= 0.0)]
                 w_s[hit] = 0.0
                 w[idx] = w_s
-                support[idx[hit]] = False
+                taken[idx[hit]] = False
+                # last row first, so the rows still to go keep their places
+                for r in hit[::-1]:
+                    factor.delete(int(r))
                 continue
             w[:] = 0.0
             w[idx] = sol
             w /= w.sum()
             grad = 2.0 * (gram @ w - linear)
-        violations = np.where(support, -np.inf, grad[idx].min() - grad)
+        violations = np.where(taken, -np.inf, grad[idx].min() - grad)
         j = int(np.argmax(violations))
         if violations[j] <= 0.5 * tol:
             break
-        support[j] = True
-        grad = None
+        taken[j] = True
+        if factor.append(j, gram[j], gram[j, j]):
+            grad = None
     if grad is None:
         grad = 2.0 * (gram @ w - linear)
     res = _kkt_residual(grad, w)
@@ -392,7 +419,7 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
         residual = None
         try:
             w_new, grad = simplex_qp_solve(gram, linear, _QP_TOL,
-                                           None if first else state.weights, state.chol)
+                                           None if first else state.weights, state.factor)
         except QpConvergenceError as e:
             # the uncertified iterate is kept only if it lowers the objective
             w_new, residual = e.best, e.residual

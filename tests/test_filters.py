@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -506,24 +505,6 @@ class TestRunFilter:
             run_filter(model, np.zeros((3, 1)), MC_MULTINOMIAL, 10, K1, seed=0)
         with pytest.raises(ValueError):
             run_filter(model, np.zeros((3, 1)), MC_MULTINOMIAL, 0, K2, seed=0)
-
-    def test_csv_serialization(self):
-        model, _ = make_lgss(6, d=2, m=1)
-        traj = simulate(model, 5, seed=1)
-        tr = run_filter(model, traj.observations, skh(FwVariant.FCFW, 200),
-                        40, K2, seed=3)
-        buf = io.StringIO()
-        tr.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        header = lines[0].split(",")
-        assert header == ["t", "method", "n", "seed", "mean_0", "mean_1",
-                          "w_hat", "log_z", "fw_error", "effective_n"]
-        assert len(lines) == 6
-        row = lines[1].split(",")
-        assert row[0] == "1" and row[1] == "skh_fcfw"
-        assert float(row[4]) == tr.filtered_means[0, 0]
-        assert float(row[7]) == tr.log_evidence[0]
-        assert int(row[9]) == tr.effective_n[0]
 
 
 def _counting(fn, calls, name):

@@ -1,6 +1,9 @@
 import importlib
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +13,13 @@ from herdfilter import (
     KernelConfig,
     WeightedParticleSet,
     mmd,
+    sample_mixture_family,
 )
 from herdfilter.fw_quad import (
     FwVariant,
     QpConvergenceError,
     QuadratureState,
+    SupportFactor,
     _advance,
     _line_search_step,
     fw_quad,
@@ -63,8 +68,29 @@ def _objective(gram, linear, w):
 
 
 def kept_factor(gram):
-    """Lower Cholesky factor, column-major, as QuadratureState keeps it."""
-    return np.asfortranarray(np.linalg.cholesky(gram))
+    """A SupportFactor of every atom, built by appends as the solver builds one."""
+    factor = SupportFactor(gram.shape[0])
+    for j in range(gram.shape[0]):
+        assert factor.append(j, gram[j], gram[j, j])
+    return factor
+
+
+def gaussian_gram(pts):
+    """Unit-bandwidth Gaussian-kernel Gram matrix of the rows of pts."""
+    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    return np.exp(-0.5 * sq)
+
+
+def assert_factors(factor, gram, atol):
+    """factor is lower triangular with a positive diagonal, zero outside its
+    leading block, and reproduces gram's block of its atoms within atol."""
+    s, atoms = factor.size, factor.atoms
+    chol = factor.chol[:s, :s]
+    np.testing.assert_array_equal(np.triu(chol, 1), 0.0)
+    assert np.all(np.diag(chol) > 0.0)
+    np.testing.assert_array_equal(factor.chol[s:], 0.0)
+    np.testing.assert_array_equal(factor.chol[:, s:], 0.0)
+    np.testing.assert_allclose(chol @ chol.T, gram[np.ix_(atoms, atoms)], rtol=0, atol=atol)
 
 
 def random_mixture(rng, dim=2, n_comp=4):
@@ -272,32 +298,67 @@ class TestColumnBuffer:
 
 
 class TestKeptFactor:
-    """The Cholesky factor of the chosen atoms' Gram matrix, and its span guard."""
+    """The Cholesky factor of the support's Gram block, and its span guard."""
 
     fwq = importlib.import_module("herdfilter.fw_quad")
 
-    def test_factor_tracks_gram_after_every_append(self):
+    def test_factor_tracks_support_after_every_step(self):
         rng = np.random.default_rng(33)
         p = random_mixture(rng, dim=3)
         k = KernelConfig(0.8, 3)
         pool, _ = p.sample(400, rng)
         state = QuadratureState(p, k, pool, 30, corrective=True)
-        appended = 0
         for _ in range(30):
-            old_gram = state.gram.copy()
             _advance(state, FwVariant.FCFW)
-            n = state.n_chosen
-            if n == appended:
-                continue
-            appended = n
-            chol = state.chol[:n]
-            np.testing.assert_array_equal(np.triu(chol, 1), 0.0)
-            np.testing.assert_allclose(chol @ chol.T, state.gram, rtol=0, atol=1e-12)
-            r = state.gram[-1, :-1]
-            schur = 1.0 - r @ np.linalg.solve(old_gram, r) if n > 1 else 1.0
-            assert chol[-1, -1] ** 2 == pytest.approx(schur, rel=0, abs=1e-12)
-            np.testing.assert_array_equal(state.chol[n:], 0.0)
-        assert appended >= 20
+            assert sorted(state.factor.atoms) == list(np.flatnonzero(state.weights > 0.0))
+            assert_factors(state.factor, state.gram, atol=1e-12)
+        assert state.n_chosen >= 20
+
+    @pytest.mark.parametrize("d, s, half_width", [(1, 30, 15.0), (2, 100, 6.0), (3, 200, 4.0)])
+    def test_delete_then_reappend(self, d, s, half_width):
+        rng = np.random.default_rng(60 + d)
+        gram = gaussian_gram(rng.uniform(-half_width, half_width, size=(s, d)))
+        for r in (0, s // 2, s - 1):
+            factor = kept_factor(gram)
+            atom = int(factor.atoms[r])
+            factor.delete(r)
+            assert factor.size == s - 1 and atom not in factor.atoms
+            assert_factors(factor, gram, atol=1e-12)
+            # the guard's figure is the dropped atom's distance to the rest's span
+            rest = factor.atoms
+            cross = gram[atom, rest]
+            schur = 1.0 - cross @ np.linalg.solve(gram[np.ix_(rest, rest)], cross)
+            assert factor.span_row(gram[atom], 1.0)[1] == pytest.approx(schur, rel=0, abs=1e-10)
+            assert factor.append(atom, gram[atom], 1.0)
+            assert factor.atoms[-1] == atom
+            assert_factors(factor, gram, atol=1e-12)
+
+    def test_factor_tracks_support_on_quad_pool(self, monkeypatch):
+        # criterion 1's FCFW run on pool 0 at n = 200 drops interior atoms and
+        # lets some back in; after every step the kept factor must still
+        # factor the support's Gram block
+        interior, joined = [], []
+        delete, append = SupportFactor.delete, SupportFactor.append
+
+        def deleting(factor, r):
+            interior.append(r < factor.size - 1)
+            delete(factor, r)
+
+        def appending(factor, atom, cross, diag):
+            joined.append(int(atom))
+            return append(factor, atom, cross, diag)
+
+        monkeypatch.setattr(SupportFactor, "delete", deleting)
+        monkeypatch.setattr(SupportFactor, "append", appending)
+        p = sample_mixture_family(2, 100, seed=1)
+        pool, _ = p.sample(20_000, np.random.default_rng([0, 200]))
+        state = QuadratureState(p, KernelConfig(1.0, 2), pool, 200, corrective=True)
+        for _ in range(200):
+            assert _advance(state, FwVariant.FCFW)
+            assert sorted(state.factor.atoms) == list(np.flatnonzero(state.weights > 0.0))
+            assert_factors(state.factor, state.gram, atol=1e-10)
+        assert sum(interior) == 6
+        assert len(joined) - len(set(joined)) == 3
 
     def test_duplicate_never_appended(self):
         # pool point 7 repeats point 3 exactly, so its distance to the span is 0
@@ -307,11 +368,14 @@ class TestKeptFactor:
         state = QuadratureState(p, UNIT_1D, pool, 9, corrective=True)
         while 3 not in state.idxs:
             assert _advance(state, FwVariant.FCFW)
-        before = (state.n_chosen, state.gram.copy(), state.chol.copy())
+        assert 3 in state.factor.atoms
+        factor = state.factor
+        before = (state.n_chosen, state.gram.copy(), factor.size, factor.chol.copy())
         assert not state._append_atom(7, state._column(7))
         assert state.n_chosen == before[0]
         np.testing.assert_array_equal(state.gram, before[1])
-        np.testing.assert_array_equal(state.chol, before[2])
+        assert factor.size == before[2]
+        np.testing.assert_array_equal(factor.chol, before[3])
 
     def test_refused_vertex_stops_like_a_known_one(self, monkeypatch):
         p = std_normal_1d()
@@ -386,8 +450,8 @@ class TestQpFallback:
         solve = simplex_qp_solve
         best = []
 
-        def stalled(gram, linear, tol, w0, chol):
-            best.append(solve(gram, linear, tol, w0, chol)[0])
+        def stalled(gram, linear, tol, w0, factor):
+            best.append(solve(gram, linear, tol, w0, factor)[0])
             raise QpConvergenceError(best[-1], 3.0e-7)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
@@ -406,7 +470,7 @@ class TestQpFallback:
         before = state.objective
         worse = []
 
-        def stalled(gram, linear, tol, w0, chol):
+        def stalled(gram, linear, tol, w0, factor):
             best = self.worst_vertex(linear)
             worse.append(_objective(gram, linear, best) > _objective(gram, linear, w0) + 1e-15)
             raise QpConvergenceError(best, 2.0e-6)
@@ -427,9 +491,9 @@ class TestQpFallback:
         solve = simplex_qp_solve
         calls = []
 
-        def stalled(gram, linear, tol, w0, chol):
+        def stalled(gram, linear, tol, w0, factor):
             calls.append(None)
-            best = (solve(gram, linear, tol, w0, chol)[0] if len(calls) % 2
+            best = (solve(gram, linear, tol, w0, factor)[0] if len(calls) % 2
                     else self.worst_vertex(linear))
             raise QpConvergenceError(best, 1.0e-8)
 
@@ -456,22 +520,22 @@ class TestSimplexQp:
     def test_frozen_two_dim_example(self):
         # stationarity 2w1 - 2 = 2w2 on the simplex pins the vertex (1, 0);
         # a 1e-5 grid search over the simplex agrees (objective -1.0)
-        for chol in (None, kept_factor(np.eye(2))):
-            w, _ = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]), chol=chol)
+        for factor in (None, kept_factor(np.eye(2))):
+            w, _ = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]), factor=factor)
             np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-10)
 
     def test_frozen_interior_example(self):
         # linear spread of 0.5 puts the optimum strictly inside: w = (0.75, 0.25)
-        for chol in (None, kept_factor(np.eye(2))):
-            w, _ = simplex_qp_solve(np.eye(2), np.array([0.5, 0.0]), chol=chol)
+        for factor in (None, kept_factor(np.eye(2))):
+            w, _ = simplex_qp_solve(np.eye(2), np.array([0.5, 0.0]), factor=factor)
             np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-10)
 
     def test_against_grid_search(self):
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-5)
         vals = grid**2 + (1 - grid) ** 2 - 2 * grid
         w1 = grid[np.argmin(vals)]
-        for chol in (None, kept_factor(np.eye(2))):
-            w, _ = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]), chol=chol)
+        for factor in (None, kept_factor(np.eye(2))):
+            w, _ = simplex_qp_solve(np.eye(2), np.array([1.0, 0.0]), factor=factor)
             assert w[0] == pytest.approx(w1, abs=1e-5)
 
     def test_random_instances_kkt_and_vertices(self):
@@ -483,8 +547,8 @@ class TestSimplexQp:
             d = np.sqrt(np.diag(gram))
             gram = gram / np.outer(d, d)  # unit diagonal like a kernel matrix
             lin = rng.random(k)
-            for chol in (None, kept_factor(gram)):
-                w, grad = simplex_qp_solve(gram, lin, chol=chol)
+            for factor in (None, kept_factor(gram)):
+                w, grad = simplex_qp_solve(gram, lin, factor=factor)
                 assert np.all(w >= 0.0)
                 assert w.sum() == pytest.approx(1.0, abs=1e-12)
                 assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-8
@@ -505,8 +569,8 @@ class TestSimplexQp:
         lin = rng.random(5)
         w0 = np.array([0.9, 0.05, 0.05, 0.0, 0.0])
         f = lambda v: v @ gram @ v - 2 * lin @ v
-        for chol in (None, kept_factor(gram)):
-            w, _ = simplex_qp_solve(gram, lin, w0=w0, chol=chol)
+        for factor in (None, kept_factor(gram)):
+            w, _ = simplex_qp_solve(gram, lin, w0=w0, factor=factor)
             assert f(w) <= f(w0) + 1e-14
 
         # three atoms on a line, warm-started on all of them: the minimizer on
@@ -519,20 +583,26 @@ class TestSimplexQp:
         assert np.linalg.solve(kkt, np.append(2.0 * lin, 1.0))[1] < 0.0
         w0 = np.array([0.2, 0.4, 0.4])
         bound = min(_objective(gram, lin, w0), simplex_grid_min(gram, lin))
-        # with the kept factor the full support is a prefix and takes the
-        # triangular solves; {0, 2}, after the drop, is not and takes LU
+        # with or without a kept factor, every solve is a one-column triangular
+        # one on the support's factor, before and after the middle row goes
         fwq = sys.modules["herdfilter.fw_quad"]
-        trtrs, lu = fwq._trtrs, np.linalg.solve
+        trtrs = fwq._trtrs
         calls = []
-        monkeypatch.setattr(fwq, "_trtrs", lambda *a, **k: calls.append("tri") or trtrs(*a, **k))
-        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("lu") or lu(*a))
-        for chol in (None, kept_factor(gram)):
+
+        def solve_1col(a, b, **kwargs):
+            calls.append(f"tri{np.ndim(b)}")
+            return trtrs(a, b, **kwargs)
+
+        monkeypatch.setattr(fwq, "_trtrs", solve_1col)
+        for name in ("solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
+        for factor in (None, kept_factor(gram)):
             calls.clear()
-            w, _ = simplex_qp_solve(gram, lin, w0=w0, chol=chol)
+            w, _ = simplex_qp_solve(gram, lin, w0=w0, factor=factor)
             assert w[1] == 0.0
             assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-10
             assert _objective(gram, lin, w) <= bound + 1e-12
-            assert calls == (["lu", "lu"] if chol is None else ["tri"] * 3 + ["lu"])
+            assert calls and set(calls) == {"tri1"}
 
     @pytest.mark.parametrize("lin, w0", [
         (np.array([0.6, 0.6, 0.5]), np.array([0.3, 0.3, 0.4])),
@@ -540,19 +610,21 @@ class TestSimplexQp:
     ])
     def test_duplicated_atom_singular_support(self, monkeypatch, lin, w0):
         # atoms 0 and 1 coincide, so the warm start's support has a singular
-        # KKT system and the solver must take its least-squares fallback
-        lstsq = np.linalg.lstsq
-        calls = []
+        # Gram block: the span guard keeps the duplicate out of the support
+        supports = []
+        append = SupportFactor.append
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return lstsq(*args, **kwargs)
+        def appending(factor, atom, cross, diag):
+            ok = append(factor, atom, cross, diag)
+            supports.append(set(factor.atoms.tolist()))
+            return ok
 
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        monkeypatch.setattr(SupportFactor, "append", appending)
         a = np.exp(-0.5)
         gram = np.array([[1.0, 1.0, a], [1.0, 1.0, a], [a, a, 1.0]])
         w, _ = simplex_qp_solve(gram, lin, w0=w0)
-        assert calls
+        assert supports and not any({0, 1} <= s for s in supports)
+        assert w[1] == 0.0
         assert simplex_qp_kkt_residual(gram, lin, w) <= 1e-10
         assert _objective(gram, lin, w) <= simplex_grid_min(gram, lin) + 1e-12
 
@@ -682,3 +754,27 @@ class TestFwQuad:
         for n, a, b in zip(ns, fcfw_med, mc_med):
             if n >= 20:
                 assert a < b
+
+
+def test_fcfw_bits_do_not_depend_on_blas_threads():
+    # criterion 1's FCFW runs at n = 200 drop interior atoms, and OpenBLAS
+    # threads LAPACK calls at this size: the support solves must not use one
+    # whose bits change with the thread count
+    code = (
+        "import hashlib, herdfilter as hf\n"
+        "p = hf.sample_mixture_family(2, 100, seed=1)\n"
+        "h = hashlib.sha256()\n"
+        "for pool in (0, 1):\n"
+        "    out, err = hf.fw_quad(p, hf.KernelConfig(1.0, 2), 200, 20_000,\n"
+        "                          hf.FwVariant.FCFW, rng_seed=[pool, 200])\n"
+        "    h.update(out.points.tobytes() + out.weights.tobytes() + repr(err).encode())\n"
+        "print(h.hexdigest())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
