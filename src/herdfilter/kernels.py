@@ -34,6 +34,8 @@ _JITTER_SCALE = 1e-12
 # _ROW_GROUP rows
 _TILE_BYTES = 1 << 20
 _ROW_GROUP = 16
+# fewest draws for which _inverse_cdf builds its index table
+_INDEXED_MIN_DRAWS = 2048
 
 
 @dataclass(frozen=True)
@@ -105,14 +107,39 @@ def _check_convex(weights: np.ndarray):
 
 
 def _inverse_cdf(weights, u):
-    """Categorical indices of the uniforms u by inverse CDF over weights.
+    """Categorical indices of the uniforms u in [0, 1) by inverse CDF over weights.
 
-    The last cumulative weight is pinned to 1, so round-off in the sum
-    never lets a uniform in [0, 1) fall past the last category.
+    The index of u is searchsorted(cum, u, side="right") over the cumulative
+    weights cum, whose last entry is pinned to 1, so round-off in the sum
+    never lets a uniform fall past the last category. Below
+    max(K, _INDEXED_MIN_DRAWS) draws that binary search is what runs. Larger
+    batches take an indexed search (Chen & Asau 1974; Devroye 1986, III.2)
+    that returns the same index. The table size G is the power of two above
+    3K/2, whose load under 2/3 leaves few crowded buckets in a small table.
+    u*G and cum*G are exact, so bucket b = floor(u*G) starts at
+    lo[b] = #{cum <= b/G}, read off one table built from ceil(cum*G). One
+    comparison steps a draw past a boundary between b/G and u; a second
+    finds the few draws with two or more, and only those go to searchsorted.
+    Sorted u, as the stratified sampler's, take the same path, which is no
+    slower on them than the binary search.
     """
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right")
+    u = np.asarray(u)
+    k = cum.shape[0]
+    if u.size < max(k, _INDEXED_MIN_DRAWS):
+        return np.searchsorted(cum, u, side="right")
+    g = 1 << (k + k // 2).bit_length()
+    # ceil(cum*G), clipped to G so that it rises to the pinned last entry
+    # even where round-off lifts the entries before it above 1
+    top = np.minimum(np.ceil(cum * g), g).astype(np.intp)
+    lo = np.repeat(np.arange(k), np.diff(top, prepend=0))
+    idx = lo[(u * g).astype(np.intp)]
+    idx += cum[idx] <= u
+    crowded = np.flatnonzero(cum[idx] <= u)
+    if crowded.size:
+        idx[crowded] = np.searchsorted(cum, u[crowded], side="right")
+    return idx
 
 
 def _mixture_moments(weights, means, covs):
@@ -139,7 +166,7 @@ class GaussianMixture:
         cov_map: optional (K,) int indices into covs.
     """
 
-    __slots__ = ("weights", "means", "covs", "cov_map", "_chol", "_iso_var")
+    __slots__ = ("weights", "means", "covs", "cov_map", "_chol", "_iso_var", "_diag_sd")
 
     def __init__(self, weights, means, covs, cov_map=None):
         self.weights = np.ascontiguousarray(weights, dtype=float).reshape(-1)
@@ -185,8 +212,11 @@ class GaussianMixture:
         # Isotropic blocks unlock the fully vectorized kernel-op paths.
         diag = self.covs[:, np.arange(d), np.arange(d)]
         off = self.covs - diag[:, :, None] * np.eye(d)
-        iso = np.abs(off).max(initial=0.0) == 0.0 and np.all(diag == diag[:, :1])
+        diagonal = np.abs(off).max(initial=0.0) == 0.0
+        iso = diagonal and np.all(diag == diag[:, :1])
         self._iso_var = diag[:, 0].copy() if iso else None
+        # a diagonal PSD block's Cholesky factor is the root of its diagonal
+        self._diag_sd = np.sqrt(diag) if diagonal and np.all(diag >= 0.0) else None
 
     @property
     def n_components(self) -> int:
@@ -210,26 +240,40 @@ class GaussianMixture:
         """Draw n points i.i.d. from the mixture.
 
         Returns (points, comps): the draws and the generating component index
-        of each draw. Component choice consumes one uniform per draw.
+        of each draw. Component choice consumes one uniform per draw, then
+        each draw takes d standard normals; _place turns both into points.
         """
         return self._place(rng.random(n), rng.standard_normal((n, self.dim)))
 
     def _place(self, u, z):
-        """Points from component uniforms u (n,) and standard normals z (n, d).
+        """Points from component uniforms u (n,) in [0, 1) and standard normals z (n, d).
 
         Each u picks a component by inverse CDF over the weights in storage
-        order; its z goes through that component's covariance factor. With
-        one covariance block, as in every transition mixture of the built-in
-        models, that factor multiplies z directly, with no (n, d, d) gather.
+        order (_inverse_cdf); its z goes through that component's covariance
+        factor. When every block is diagonal, as the LGSS and CLGSS
+        transition blocks and the criterion-1 family are, the factor is the
+        elementwise root of the diagonal and scales z, with no factorization;
+        the products are those of the factor product, bit for bit, and adding
+        +0.0 turns the -0.0 of a zero variance into the +0.0 that product's
+        sum gives. A single full block multiplies z directly, and only
+        several full blocks gather an (n, d, d) stack of factors.
         Returns (points, comps) like sample.
         """
         comps = _inverse_cdf(self.weights, u)
-        if self.covs.shape[0] == 1:
+        # np.take copies the same rows as fancy indexing, several times faster
+        if self._diag_sd is not None:
+            sd = self._diag_sd
+            sd = sd[0] if len(sd) == 1 else np.take(sd, self.cov_map[comps], axis=0)
+            shift = z * sd
+            shift += 0.0
+        elif self.covs.shape[0] == 1:
             shift = np.einsum("ij,nj->ni", self.chol_factors[0], z)
         else:
-            factors = self.chol_factors[self.cov_map[comps]]
+            factors = np.take(self.chol_factors, self.cov_map[comps], axis=0)
             shift = np.einsum("nij,nj->ni", factors, z)
-        return self.means[comps] + shift, comps
+        points = np.take(self.means, comps, axis=0)
+        points += shift
+        return points, comps
 
     def pdf(self, x) -> np.ndarray:
         """Mixture density at each row of x."""

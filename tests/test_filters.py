@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -294,7 +295,24 @@ def _draw_mixtures():
     h = rng.normal(size=(3, 3))
     one_block = GaussianMixture(w, rng.normal(size=(6, 3)), h @ h.T + 0.1 * np.eye(3))
     assert one_block.covs.shape[0] == 1 and np.all(one_block.covs[0] != 0.0)
-    return [shared, full, one_block]
+    # 100 components on each kind of block: one isotropic, the CLGSS joint
+    # model's singular diag(0, 0.1, 0.1), one isotropic per component, and
+    # one full; -0.0 means check that a zero variance leaves +0.0 behind
+    w = rng.dirichlet(np.full(100, 0.5))
+    means = rng.normal(size=(100, 3))
+    means[::4, 0] = -0.0
+    parts = make_clgss(0, coupled=False)[0].transition_parts(means[:4], 1)
+    clgss_block = parts.cov_blocks[parts.cov_index[0]]
+    assert np.array_equal(clgss_block, np.diag([0.0, 0.1, 0.1]))
+    h = rng.normal(size=(3, 3))
+    kinds = [
+        GaussianMixture(w, means, 0.3 * np.eye(3)),
+        GaussianMixture(w, means, clgss_block),
+        GaussianMixture(w, means, rng.uniform(0.2, 2.0, 100)[:, None, None] * np.eye(3)),
+        GaussianMixture(w, means, h @ h.T + 0.1 * np.eye(3)),
+    ]
+    assert [m._diag_sd is None for m in kinds] == [False, False, False, True]
+    return [shared, full, one_block, *kinds]
 
 
 def _inline_draw(mix, u, z):
@@ -306,37 +324,45 @@ def _inline_draw(mix, u, z):
     return mix.means[comps] + np.einsum("nij,nj->ni", factors, z), comps
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# 40 draws take the binary search of _inverse_cdf, 4096 its indexed search
+DRAW_SIZES = (40, 4096)
+
+
 class TestMixtureDraw:
     """Every sampler's points and components, bit for bit, against the formula."""
 
     def test_multinomial(self):
-        for mix in _draw_mixtures():
-            pts, comps = mix.sample(40, np.random.default_rng(3))
+        for mix, n in itertools.product(_draw_mixtures(), DRAW_SIZES):
+            pts, comps = mix.sample(n, np.random.default_rng(3))
             rng = np.random.default_rng(3)
-            u = rng.random(40)
-            z = rng.standard_normal((40, mix.dim))
+            u = rng.random(n)
+            z = rng.standard_normal((n, mix.dim))
             want_pts, want_comps = _inline_draw(mix, u, z)
-            assert np.array_equal(pts, want_pts)
+            assert _same_bits(pts, want_pts)
             assert np.array_equal(comps, want_comps)
 
     def test_stratified(self):
-        for mix in _draw_mixtures():
+        for mix, n in itertools.product(_draw_mixtures(), DRAW_SIZES):
             tm = TransitionMixture(mix, np.arange(mix.n_components))
-            out, _ = pf_step(MC_STRATIFIED, tm, 40, KernelConfig(1.0, mix.dim), 5)
+            out, _ = pf_step(MC_STRATIFIED, tm, n, KernelConfig(1.0, mix.dim), 5)
             rng = np.random.default_rng(5)
-            u = (np.arange(40) + rng.random()) / 40
-            z = rng.standard_normal((40, mix.dim))
+            u = (np.arange(n) + rng.random()) / n
+            z = rng.standard_normal((n, mix.dim))
             want_pts, want_comps = _inline_draw(mix, u, z)
-            assert np.array_equal(out.points, want_pts)
+            assert _same_bits(out.points, want_pts)
             assert np.array_equal(out.ancestry, want_comps)
 
     def test_qmc(self):
-        for mix in _draw_mixtures():
+        for mix, n in itertools.product(_draw_mixtures(), DRAW_SIZES):
             d = mix.dim
-            out = qmc_sample_mixture(mix, 40, SobolStream(d + 1))
-            u = SobolStream(d + 1).take(40)
+            out = qmc_sample_mixture(mix, n, SobolStream(d + 1))
+            u = SobolStream(d + 1).take(n)
             want_pts, want_comps = _inline_draw(mix, u[:, d], inverse_normal_cdf(u[:, :d]))
-            assert np.array_equal(out.points, want_pts)
+            assert _same_bits(out.points, want_pts)
             assert np.array_equal(out.ancestry, want_comps)
 
 

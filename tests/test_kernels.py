@@ -320,6 +320,60 @@ class TestMmd:
         assert np.mean(sq) <= 1.1 * bound
 
 
+def _pinned_cum(weights):
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    return cum
+
+
+def _categorical_weights(kind, k, rng):
+    if kind == "uniform":
+        return np.full(k, 1.0 / k)
+    if kind == "dirichlet":
+        return rng.dirichlet(np.full(k, 0.5))
+    if kind == "skewed":  # Zipf-like: a few heavy components, a crowd of light ones
+        w = 1.0 / np.arange(1.0, k + 1.0) ** 2
+        return w / w.sum()
+    if kind == "zeros":
+        w = rng.random(k)
+        w[rng.random(k) < 0.4] = 0.0
+        w[k // 2] = 1.0
+        return w / w.sum()
+    # "overshoot": the sum is 1 + 1e-13 and the last weight tiny, so the
+    # pinned last entry sits below the one before it
+    if k == 1:
+        return np.ones(1)
+    w = np.full(k, 1.0 / (k - 1))
+    w[-2] += 1.0 + 1e-13 - np.cumsum(w[:-1])[-1]
+    w[-1] = 1e-300
+    assert _pinned_cum(w)[-2] > 1.0
+    return w
+
+
+class TestInverseCdf:
+    """_inverse_cdf is searchsorted over the pinned cumulative weights."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 100, 20000])
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet", "skewed", "zeros", "overshoot"])
+    def test_matches_searchsorted(self, k, kind):
+        rng = np.random.default_rng(k)
+        w = _categorical_weights(kind, k, rng)
+        cum = _pinned_cum(w)
+        n = 2 * max(k, kernels_mod._INDEXED_MIN_DRAWS)  # large enough to index
+        specials = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum[cum < 1.0]])
+        batches = {
+            "random": rng.random(n),
+            "sorted": np.sort(rng.random(n)),
+            "specials": rng.permutation(np.concatenate([rng.random(n), specials])),
+            "empty": np.empty(0),
+        }
+        for name, u in batches.items():
+            got = kernels_mod._inverse_cdf(w, u)
+            assert np.array_equal(got, np.searchsorted(cum, u, side="right")), name
+        for u in (0.0, 0.5, float(np.nextafter(1.0, 0.0))):
+            assert kernels_mod._inverse_cdf(w, u) == np.searchsorted(cum, u, side="right")
+
+
 class TestContainers:
     def test_mixture_validation(self):
         eye = np.eye(1)[None]
