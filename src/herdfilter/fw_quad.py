@@ -87,16 +87,13 @@ class SupportFactor:
     """Lower Cholesky factor of the Gram block of a simplex QP's support.
 
     Row r belongs to atom rows[r]. The leading size x size block of the
-    column-major buffer chol is in use, and the rest of it is zero. The row
-    that admits computed for an atom is kept until the factor next changes,
-    so that append need not solve for it again.
+    column-major buffer chol is in use, and the rest of it is zero.
     """
 
     def __init__(self, capacity: int):
         self.chol = np.zeros((capacity, capacity), order="F")
         self.rows = np.zeros(capacity, dtype=np.intp)
         self.size = 0
-        self._kept = None  # (atom, l, schur) from admits, on the current factor
 
     @property
     def atoms(self) -> np.ndarray:
@@ -108,22 +105,9 @@ class SupportFactor:
         l = _trtrs(self.chol[:, :self.size], cross[self.atoms], lower=1)[0]
         return l, diag - float(l @ l)
 
-    def admits(self, atom: int, cross: np.ndarray, diag: float) -> bool:
-        """Whether span_row puts atom at or above _SPAN_FLOOR; if so its row is
-        kept for append."""
-        l, schur = self.span_row(cross, diag)
-        if schur < _SPAN_FLOOR:
-            return False
-        self._kept = (atom, l, schur)
-        return True
-
     def append(self, atom: int, cross: np.ndarray, diag: float) -> bool:
         """Add atom's row, or return False if span_row puts it under _SPAN_FLOOR."""
-        kept, self._kept = self._kept, None
-        if kept is not None and kept[0] == atom:
-            l, schur = kept[1:]
-        else:
-            l, schur = self.span_row(cross, diag)
+        l, schur = self.span_row(cross, diag)
         if schur < _SPAN_FLOOR:
             return False
         s = self.size
@@ -136,7 +120,6 @@ class SupportFactor:
     def delete(self, r: int):
         """Remove row r; Givens rotations restore the triangle in O(s^2) numpy work."""
         s, chol = self.size, self.chol
-        self._kept = None
         chol[r:s - 1, :s] = chol[r + 1:s, :s]
         self.rows[r:s - 1] = self.rows[r + 1:s]
         for i in range(r, s - 1):
@@ -159,8 +142,7 @@ class QuadratureState:
     weights, their Gram matrix and mean-map values). The empty state
     represents g_0 = 0. Those arrays are allocated once for `capacity` atoms,
     the run's atom budget, and `idxs`, `weights`, `gram` and `mu_sel` are
-    views of their leading k entries. fw_vertex_search writes
-    pool_cross - pool_mu into one (M,) buffer that the state also owns.
+    views of their leading k entries.
 
     A corrective state (the fully corrective step) also keeps, as row i of
     `cols`, the kernel column kappa(x_i, pool) of each chosen atom in a
@@ -186,7 +168,6 @@ class QuadratureState:
         self.sqnorm = mean_map_sqnorm(target, kernel)
         m = self.pool.shape[0]
         self.pool_cross = np.zeros(m)  # sum_i w_i kappa(x_i, pool_j)
-        self._gap = np.empty(m)
         self.n_chosen = 0
         self._idx = np.zeros(capacity, dtype=np.intp)
         self._w = np.zeros(capacity)
@@ -244,11 +225,11 @@ class QuadratureState:
 
     def _append_atom(self, idx: int, col: np.ndarray) -> bool:
         """Append pool[idx] at weight zero; False if a corrective state's span
-        guard refuses it (SupportFactor.admits). The QP factors it on joining."""
+        guard refuses it (SupportFactor.append). The QP factors it on joining."""
         n = self.n_chosen
         row = col[self.idxs]
         if self.factor is not None:
-            if not self.factor.admits(n, row, 1.0):
+            if self.factor.span_row(row, 1.0)[1] < _SPAN_FLOOR:
                 return False
             self.cols[n] = col
         self._gram[n, :n] = row
@@ -265,7 +246,7 @@ def fw_vertex_search(state: QuadratureState) -> int:
     """Pool index minimizing sum_i w_i kappa(x_i, x) - mu_p(x); lowest-index ties."""
     if state.pool.shape[0] == 0:
         raise ValueError("empty search pool")
-    return int(np.argmin(np.subtract(state.pool_cross, state.pool_mu, out=state._gap)))
+    return int(np.argmin(state.pool_cross - state.pool_mu))
 
 
 def _line_search_step(gg: float, gmu: float, cross_v: float, mu_v: float) -> float:

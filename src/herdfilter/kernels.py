@@ -34,7 +34,9 @@ _JITTER_SCALE = 1e-12
 # _ROW_GROUP rows
 _TILE_BYTES = 1 << 20
 _ROW_GROUP = 16
-# fewest draws for which _inverse_cdf builds its index table
+# fewest draws for which _inverse_cdf builds its index table: with about
+# 30 us of fixed cost the table loses to binary search on 1,024 unsorted
+# draws over 100 components and on 2,000 sorted draws over 2,000
 _INDEXED_MIN_DRAWS = 2048
 
 
@@ -120,8 +122,9 @@ def _inverse_cdf(weights, u):
     lo[b] = #{cum <= b/G}, read off one table built from ceil(cum*G). One
     comparison steps a draw past a boundary between b/G and u; a second
     finds the few draws with two or more, and only those go to searchsorted.
-    Sorted u, as the stratified sampler's, take the same path, which is no
-    slower on them than the binary search.
+    Sorted u, as the stratified sampler's, take the same path: on them the
+    binary search is faster over evenly spread weights and slower over the
+    CLGSS filter's, so sortedness does not pick the path.
     """
     cum = np.cumsum(weights)
     cum[-1] = 1.0
@@ -255,8 +258,8 @@ class GaussianMixture:
         elementwise root of the diagonal and scales z, with no factorization;
         the products are those of the factor product, bit for bit, and adding
         +0.0 turns the -0.0 of a zero variance into the +0.0 that product's
-        sum gives. A single full block multiplies z directly, and only
-        several full blocks gather an (n, d, d) stack of factors.
+        sum gives. Otherwise each draw's factor is gathered into an
+        (n, d, d) stack that multiplies z.
         Returns (points, comps) like sample.
         """
         comps = _inverse_cdf(self.weights, u)
@@ -266,8 +269,6 @@ class GaussianMixture:
             sd = sd[0] if len(sd) == 1 else np.take(sd, self.cov_map[comps], axis=0)
             shift = z * sd
             shift += 0.0
-        elif self.covs.shape[0] == 1:
-            shift = np.einsum("ij,nj->ni", self.chol_factors[0], z)
         else:
             factors = np.take(self.chol_factors, self.cov_map[comps], axis=0)
             shift = np.einsum("nij,nj->ni", factors, z)

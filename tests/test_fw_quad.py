@@ -2,7 +2,6 @@ import importlib
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -136,20 +135,6 @@ class TestVertexSearch:
         pool = np.array([[-1.0], [1.0]])
         state = QuadratureState(p, UNIT_1D, pool, 1)
         assert fw_vertex_search(state) == 0
-
-    def test_allocates_no_pool_sized_array(self):
-        # the search writes pool_cross - pool_mu into the state's own buffer
-        p = std_normal_1d()
-        state = QuadratureState(p, UNIT_1D, np.linspace(-3.0, 3.0, 20_000)[:, None], 1)
-        fw_vertex_search(state)
-        tracemalloc.start()
-        try:
-            idx = fw_vertex_search(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert idx == int(np.argmin(state.pool_cross - state.pool_mu))
-        assert peak < 8 * 20_000 // 4
 
 
 def line_search_toward(state, vertex):
@@ -328,35 +313,6 @@ class TestKeptFactor:
             assert sorted(state.factor.atoms) == list(np.flatnonzero(state.weights > 0.0))
             assert_factors(state.factor, state.gram, atol=1e-12)
         assert state.n_chosen >= 20
-
-    def test_joining_atom_row_is_solved_once(self, monkeypatch):
-        # the span guard's row for a new vertex is the row it joins with, so
-        # an append right after the guard admitted that atom makes no solve
-        solves, fresh_joins = [], []
-        span_row, append = SupportFactor.span_row, SupportFactor.append
-
-        def counting(factor, cross, diag):
-            solves.append(factor.size)
-            return span_row(factor, cross, diag)
-
-        def appending(factor, atom, cross, diag):
-            kept = factor._kept is not None and factor._kept[0] == atom
-            before = len(solves)
-            joined = append(factor, atom, cross, diag)
-            assert len(solves) == before + (not kept)
-            fresh_joins.append(kept and joined)
-            return joined
-
-        monkeypatch.setattr(SupportFactor, "span_row", counting)
-        monkeypatch.setattr(SupportFactor, "append", appending)
-        rng = np.random.default_rng(33)
-        p = random_mixture(rng, dim=3)
-        pool, _ = p.sample(400, rng)
-        state = QuadratureState(p, KernelConfig(0.8, 3), pool, 30, corrective=True)
-        for _ in range(30):
-            _advance(state, FwVariant.FCFW)
-            assert_factors(state.factor, state.gram, atol=1e-12)
-        assert sum(fresh_joins) >= 20
 
     @pytest.mark.parametrize("d, s, half_width", [(1, 30, 15.0), (2, 100, 6.0), (3, 200, 4.0)])
     def test_delete_then_reappend(self, d, s, half_width):
