@@ -216,17 +216,15 @@ def _initial_mixture(model: StateSpaceModel) -> TransitionMixture:
     )
 
 
-def _relabel(out: WeightedParticleSet, tm: TransitionMixture, comps):
-    """Map chosen mixture components to ancestor indices and mode labels."""
-    if comps is None:
-        return out
-    comps = np.asarray(comps, dtype=np.intp)
-    return WeightedParticleSet(
-        out.points,
-        out.weights,
-        ancestry=tm.ancestors[comps],
-        modes=None if tm.new_modes is None else tm.new_modes[comps],
-    )
+def _relabel(out: WeightedParticleSet, tm: TransitionMixture) -> WeightedParticleSet:
+    """Turn out's ancestry, the mixture components its atoms were drawn
+    from, into ancestor indices and mode labels, in place."""
+    comps = out.ancestry
+    if comps is not None:
+        out.ancestry = tm.ancestors[comps]
+        if tm.new_modes is not None:
+            out.modes = tm.new_modes[comps]
+    return out
 
 
 def pf_step(
@@ -252,12 +250,11 @@ def pf_step(
         out, err = fw_quad(
             mix, k, n, sampler.m_search, variant=sampler.variant, rng_seed=seed
         )
-        return _relabel(out, mixture, out.ancestry), err
+        return _relabel(out, mixture), err
     if sampler.name == "qmc_sobol":
         if stream is None:
             stream = SobolStream(mix.dim + 1)
-        raw = qmc_sample_mixture(mix, n, stream)
-        return _relabel(raw, mixture, raw.ancestry), 0.0
+        return _relabel(qmc_sample_mixture(mix, n, stream), mixture), 0.0
     rng = np.random.default_rng(seed)
     if sampler.name == "mc_multinomial":
         pts, comps = mix.sample(n, rng)
@@ -267,8 +264,8 @@ def pf_step(
         # its expectation
         u = (np.arange(n) + rng.random()) / n
         pts, comps = mix._place(u, rng.standard_normal((n, mix.dim)))
-    out = WeightedParticleSet(pts, np.full(n, 1.0 / n))
-    return _relabel(out, mixture, comps), 0.0
+    out = WeightedParticleSet(pts, np.full(n, 1.0 / n), ancestry=comps)
+    return _relabel(out, mixture), 0.0
 
 
 @dataclass

@@ -29,9 +29,13 @@ row tiles of about 1 MB (kernels._TILE_BYTES), never as an M x K block for a
 K-component target, and the loop folds each new atom's kernel column into
 the running correlation and drops it. The fully corrective variant
 re-weights every atom after each step, so it keeps every chosen atom's
-column in one n x M buffer (8nM bytes: 32 MB at n=200, M=20000), rebuilt
-into the correlation with one vector-matrix product, and the support's
-n x n factor beside the Gram matrix (8n^2 bytes each: 0.32 MB at n=200).
+column in one n x M float32 buffer (4nM bytes: 16 MB at n=200, M=20000),
+rebuilt into the correlation with one float32 vector-matrix product, and the
+support's n x n factor beside the Gram matrix (8n^2 bytes each: 0.32 MB at
+n=200). That half-width correlation only screens the vertex search, which
+re-scores the few pool points it cannot separate in float64
+(fw_vertex_search); the Gram matrix, the QP and every weight come from the
+float64 column.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ _ACTIVE_EPS = 1e-12  # the KKT residual counts weights above this as support
 # squared RKHS distance from an atom to the support's span below which it
 # does not join the support (SupportFactor.append)
 _SPAN_FLOOR = 1e-10
+_U32 = 2.0 ** -24  # float32 unit roundoff
+# corrective column entries below this are stored as zero: a product with a
+# weight above it is then a float32 normal, and subnormals stall the product
+_COL_FLOOR = 2.0 ** -63
 
 
 class FwVariant(enum.Enum):
@@ -145,10 +153,14 @@ class QuadratureState:
     views of their leading k entries.
 
     A corrective state (the fully corrective step) also keeps, as row i of
-    `cols`, the kernel column kappa(x_i, pool) of each chosen atom in a
-    row-major (capacity, M) buffer, and in `factor` the SupportFactor of the
-    support the last corrective QP ended on. Otherwise `cols` and `factor`
-    are None and no column outlives the step that uses it.
+    `cols`, the kernel column kappa(x_i, pool) of each chosen atom, rounded
+    to float32 with entries under 2^-63 set to zero, in a row-major
+    (capacity, M) float32 buffer, and in `factor` the
+    SupportFactor of the support the last corrective QP ended on. Its
+    `pool_cross` is then the float32 product of the weights and `cols`, a
+    screen within _screen_bound of the float64 correlation. Otherwise
+    `cols` and `factor` are None, `pool_cross` is float64, and no column
+    outlives the step that uses it.
     """
 
     def __init__(self, target: GaussianMixture, kernel: KernelConfig, pool,
@@ -165,6 +177,7 @@ class QuadratureState:
             else np.ascontiguousarray(pool_components, dtype=np.intp)
         )
         self.pool_mu = mean_map_eval_batch(target, self.pool, kernel)
+        self._mu_max = float(np.abs(self.pool_mu).max(initial=0.0))
         self.sqnorm = mean_map_sqnorm(target, kernel)
         m = self.pool.shape[0]
         self.pool_cross = np.zeros(m)  # sum_i w_i kappa(x_i, pool_j)
@@ -173,7 +186,7 @@ class QuadratureState:
         self._w = np.zeros(capacity)
         self._gram = np.zeros((capacity, capacity))
         self._mu = np.zeros(capacity)
-        self.cols = np.empty((capacity, m)) if corrective else None
+        self.cols = np.empty((capacity, m), dtype=np.float32) if corrective else None
         self.factor = SupportFactor(capacity) if corrective else None
         self.gg = 0.0   # <g, g>
         self.gmu = 0.0  # <g, mu_p>
@@ -231,7 +244,8 @@ class QuadratureState:
         if self.factor is not None:
             if self.factor.span_row(row, 1.0)[1] < _SPAN_FLOOR:
                 return False
-            self.cols[n] = col
+            # multiplying by the mask takes 26 us at M = 20000, a masked store 148 us
+            np.multiply(col, col >= _COL_FLOOR, out=self.cols[n], casting="unsafe")
         self._gram[n, :n] = row
         self._gram[:n, n] = row
         self._gram[n, n] = 1.0
@@ -242,11 +256,58 @@ class QuadratureState:
         return True
 
 
+def _screen_bound(state: QuadratureState) -> float:
+    """D with |t_j - e_j| <= D at every pool point of a corrective state.
+
+    t_j = s_j - mu_j is the screened score, s = fl32(w) @ cols the float32
+    correlation, and e_j the float64 score of fw_vertex_search. Let g_j =
+    sum_i w_i c_ij, exact, over the float64 weights and columns; u = 2^-24,
+    k the atom count and gamma_m = m u / (1 - m u). Every term is
+    nonnegative, so rounding w and c to float32 (u each) and a k-term
+    float32 dot product in any order (gamma_k) give |s_j - g_j| <=
+    gamma_(k+2) g_j + F. F bounds the absolute terms: column entries under
+    2^-63 stored as zero, at most 2^-63 (1 + u)^2 as the weights sum to
+    one, and weights and products that underflow float32, 2^-150 each;
+    F = 2^-62 covers them. As g_j <= (s_j + F) / (1 - gamma_(k+2)),
+    |s_j - g_j| <= B + 2F with B = (k + 2) u / (1 - 2 (k + 2) u) max_j s_j,
+    at most (k + 3) u max_j s_j for k up to 2893. The two float64
+    subtractions and e_j's k-term float64 sum add at most (k + 3) 2^-52
+    (max_j s_j + max_j |mu_j|). B dominates: max_j s_j is at least about
+    1/k, since kappa(x_i, x_i) = 1 and some weight is at least 1/k.
+    """
+    k = state.n_chosen
+    smax = float(state.pool_cross.max())
+    ku = (k + 2) * _U32
+    refresh = ku / (1.0 - 2.0 * ku) * smax + 2.0 ** -61
+    return refresh + (k + 3) * 2.0 ** -52 * (smax + state._mu_max)
+
+
 def fw_vertex_search(state: QuadratureState) -> int:
-    """Pool index minimizing sum_i w_i kappa(x_i, x) - mu_p(x); lowest-index ties."""
+    """Pool index minimizing sum_i w_i kappa(x_i, x) - mu_p(x); lowest-index ties.
+
+    The score is pool_cross - pool_mu, in float64. A corrective state's
+    pool_cross is a float32 screen, so there the score e_j is taken in float64
+    from the k kernel values of x_j: kappa(x_j, x_i) w_i, summed along the
+    row by numpy, minus mu_j, whose bits depend only on x_j and the iterate.
+    Every pool point whose screened score is within 2D (D = _screen_bound) of
+    the screened minimum is re-scored that way. A point whose e_j is the
+    least has t_j <= e_j + D <= e_m + D <= t_m + 2D, m the screen's choice,
+    so every minimizer of e is among them, and the lowest-index one is
+    returned. A screen that passes one point has found it, with no re-score.
+    """
     if state.pool.shape[0] == 0:
         raise ValueError("empty search pool")
-    return int(np.argmin(state.pool_cross - state.pool_mu))
+    score = state.pool_cross - state.pool_mu
+    best = int(np.argmin(score))
+    if state.cols is None or state.n_chosen == 0:
+        return best
+    cand = np.flatnonzero(score <= score[best] + 2.0 * _screen_bound(state))
+    if cand.size == 1:
+        return best
+    terms = _exp_sqdist(state.pool[cand], state.pool[state.idxs], -0.5 / state.kernel.sigma2)
+    terms *= state.weights
+    exact = terms.sum(axis=1) - state.pool_mu[cand]
+    return int(cand[np.argmin(exact)])
 
 
 def _line_search_step(gg: float, gmu: float, cross_v: float, mu_v: float) -> float:
@@ -440,7 +501,7 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
                 f"its best iterate was {'rejected' if rejected else 'kept'}",
                 RuntimeWarning, stacklevel=3,
             )
-        state.pool_cross = state.weights @ state.cols[:state.n_chosen]
+        state.pool_cross = state.weights.astype(np.float32) @ state.cols[:state.n_chosen]
         return not (known and f_new >= f_old - 1e-15)
 
     if first:

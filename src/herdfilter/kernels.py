@@ -255,10 +255,12 @@ class GaussianMixture:
         order (_inverse_cdf); its z goes through that component's covariance
         factor. When every block is diagonal, as the LGSS and CLGSS
         transition blocks and the criterion-1 family are, the factor is the
-        elementwise root of the diagonal and scales z, with no factorization;
-        the products are those of the factor product, bit for bit, and adding
-        +0.0 turns the -0.0 of a zero variance into the +0.0 that product's
-        sum gives. Otherwise each draw's factor is gathered into an
+        elementwise root of the diagonal and scales z, with no factorization:
+        by its one entry when there is a single isotropic block, by columns
+        when there is a single other block, and by each draw's gathered root
+        otherwise. The products are those of the factor product, bit for bit,
+        and adding +0.0 turns the -0.0 of a zero variance into the +0.0 that
+        product's sum gives. Otherwise each draw's factor is gathered into an
         (n, d, d) stack that multiplies z.
         Returns (points, comps) like sample.
         """
@@ -266,8 +268,15 @@ class GaussianMixture:
         # np.take copies the same rows as fancy indexing, several times faster
         if self._diag_sd is not None:
             sd = self._diag_sd
-            sd = sd[0] if len(sd) == 1 else np.take(sd, self.cov_map[comps], axis=0)
-            shift = z * sd
+            if len(sd) > 1:
+                shift = z * np.take(sd, self.cov_map[comps], axis=0)
+            elif self._iso_var is not None:
+                shift = z * sd[0, 0]
+            else:
+                # z * sd[0] would step numpy's broadcast loop row by row
+                shift = np.empty_like(z)
+                for c, s in enumerate(sd[0]):
+                    np.multiply(z[:, c], s, out=shift[:, c])
             shift += 0.0
         else:
             factors = np.take(self.chol_factors, self.cov_map[comps], axis=0)

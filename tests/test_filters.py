@@ -227,14 +227,25 @@ class TestPfStep:
         np.testing.assert_array_equal(out.weights, np.full(30, 1 / 30))
         assert err > 0.0
 
-    def test_component_relabeling(self):
+    def test_component_relabeling(self, monkeypatch):
         tm = _spread_mixture()
+        built = []
+        check = WeightedParticleSet.__post_init__
+
+        def recording(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(WeightedParticleSet, "__post_init__", recording)
         for sampler in [MC_MULTINOMIAL, MC_STRATIFIED, QMC_SOBOL,
                         skh(FwVariant.FW, 200)]:
+            built.clear()
             out, _ = pf_step(sampler, tm, 25, K1, 11)
             comp = np.rint(out.points[:, 0] / 100).astype(int)
             np.testing.assert_array_equal(out.ancestry, tm.ancestors[comp])
             np.testing.assert_array_equal(out.modes, tm.new_modes[comp])
+            # the drawn set is relabelled in place, not built and checked again
+            assert len(built) == 1 and built[0] is out
 
     def test_single_component_collapses_ancestry(self):
         mix = GaussianMixture([1.0], [[2.0]], [[[0.5]]])

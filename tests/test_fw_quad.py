@@ -16,12 +16,14 @@ from herdfilter import (
     sample_mixture_family,
 )
 from herdfilter.fw_quad import (
+    _COL_FLOOR,
     FwVariant,
     QpConvergenceError,
     QuadratureState,
     SupportFactor,
     _advance,
     _line_search_step,
+    _screen_bound,
     fw_quad,
     fw_vertex_search,
     simplex_qp_kkt_residual,
@@ -196,18 +198,40 @@ class TestLineSearch:
             assert gamma == pytest.approx(t_star, abs=1e-6)
 
 
+def float64_scores(state, k):
+    """sum_i w_i kappa(x_i, pool_j) - mu_j at every pool point, in float64,
+    each row summed by numpy as fw_vertex_search re-scores a point."""
+    if not state.n_chosen:
+        return -state.pool_mu
+    sel = state.pool[np.asarray(state.idxs)]
+    return (kernel_cross(state.pool, sel, k) * state.weights).sum(axis=1) - state.pool_mu
+
+
 class TestColumnBuffer:
     def run_checked(self, p, k, pool, iters, variant=FwVariant.FCFW):
-        """Steps of one rule, checking the running correlation after each one.
+        """Steps of one rule, checking the search and the running correlation
+        against a float64 recomputation after each one.
 
-        Returns the state and the number of steps whose vertex was already
-        chosen.
+        FW and FW-LS keep the correlation in float64, within 1e-12 of it.
+        FCFW's is a float32 screen within _screen_bound of it, and its search
+        must return the lowest-index minimizer of the float64 score.
+        Returns the state, the number of steps whose vertex was already
+        chosen and the number of FCFW steps after the first whose float64
+        minimum was not alone within twice the screen's bound.
         """
-        state = QuadratureState(p, k, pool, iters, corrective=variant is FwVariant.FCFW)
-        known_steps = 0
+        fcfw = variant is FwVariant.FCFW
+        state = QuadratureState(p, k, pool, iters, corrective=fcfw)
+        known_steps = tied_steps = 0
         for _ in range(iters):
             before = state.n_chosen
-            known = fw_vertex_search(state) in state.idxs
+            idx = fw_vertex_search(state)
+            if fcfw:
+                scores = float64_scores(state, k)
+                assert idx == int(np.argmin(scores))
+                # a near tie is one the float32 screen cannot settle alone
+                near = scores <= scores[idx] + 2.0 * _screen_bound(state)
+                tied_steps += bool(before) and np.count_nonzero(near) > 1
+            known = idx in state.idxs
             progressed = _advance(state, variant)
             # FW keeps duplicates as separate atoms; the other rules re-weight
             appended = progressed and (variant is FwVariant.FW or not known)
@@ -215,23 +239,69 @@ class TestColumnBuffer:
             known_steps += known
             sel = state.pool[np.asarray(state.idxs)]
             expected = kernel_cross(state.pool, sel, k) @ state.weights
-            np.testing.assert_allclose(state.pool_cross, expected, rtol=0, atol=1e-12)
-        return state, known_steps
+            if fcfw:
+                assert state.pool_cross.dtype == np.float32
+                assert np.abs(state.pool_cross - expected).max() <= _screen_bound(state)
+            else:
+                np.testing.assert_allclose(state.pool_cross, expected, rtol=0, atol=1e-12)
+        return state, known_steps, tied_steps
 
     def test_fcfw_pool_cross_matches_recomputation(self):
         rng = np.random.default_rng(24)
         p = random_mixture(rng)
         k = KernelConfig(0.8, 2)
         pool, _ = p.sample(200, rng)
-        state, _ = self.run_checked(p, k, pool, iters=15)
+        state, _, _ = self.run_checked(p, k, pool, iters=15)
         assert state.cols.shape == (15, 200)
 
     def test_fcfw_known_vertex_appends_no_row(self):
         # five pool points and eight steps: the search must return a chosen atom
         p = std_normal_1d()
         pool = np.linspace(-2.0, 2.0, 5)[:, None]
-        _, known_steps = self.run_checked(p, UNIT_1D, pool, iters=8)
+        _, known_steps, _ = self.run_checked(p, UNIT_1D, pool, iters=8)
         assert known_steps >= 3
+
+    @pytest.mark.parametrize("m", [101, 400, 4001])
+    @pytest.mark.parametrize("p", [std_normal_1d(), GaussianMixture(
+        [0.5, 0.5], [[-1.5], [1.5]], [[[0.6]], [[0.6]]])], ids=["normal", "bimodal"])
+    def test_fcfw_symmetric_pool_near_ties(self, m, p):
+        # a symmetric target on a grid symmetric to the last bit: x and -x
+        # score within rounding of each other, the same bits whenever the
+        # chosen atoms and weights are symmetric too
+        grid = np.linspace(-4.0, 4.0, m)
+        pool = (0.5 * (grid - grid[::-1]))[:, None]
+        _, _, tied_steps = self.run_checked(p, UNIT_1D, pool, iters=12)
+        assert tied_steps >= 1
+
+    def test_fcfw_duplicated_pool_points(self):
+        # every point twice, the copies far apart in the pool: the search
+        # must take the first copy, and a chosen atom's copy is a known vertex
+        rng = np.random.default_rng(26)
+        p = random_mixture(rng)
+        k = KernelConfig(0.8, 2)
+        half, _ = p.sample(150, rng)
+        pool = np.concatenate([half, half[::-1]])
+        state, _, tied_steps = self.run_checked(p, k, pool, iters=20)
+        assert tied_steps >= 1
+        assert np.all(state.idxs < 150)
+
+    def test_fcfw_subnormal_column_entries_flushed(self):
+        # two clusters 8 to 20 kernel widths apart: kernel values between
+        # them span float32's subnormal range, and are stored as zero
+        p = GaussianMixture([0.5, 0.5], [[-7.0], [7.0]], [[[1.0]], [[1.0]]])
+        pool = np.concatenate([np.linspace(-10.0, -4.0, 60), np.linspace(4.0, 10.0, 60)])[:, None]
+        state, _, _ = self.run_checked(p, UNIT_1D, pool, iters=10)
+        tiny = np.finfo(np.float32).tiny
+        for i, idx in enumerate(state.idxs):
+            col = state._column(int(idx))
+            col32 = col.astype(np.float32)
+            assert np.any((col32 > 0.0) & (col32 < tiny))
+            flushed = np.where(col < _COL_FLOOR, 0.0, col).astype(np.float32)
+            np.testing.assert_array_equal(state.cols[i], flushed)
+        # nor does any product of the float32 refresh fall below a normal
+        k = state.n_chosen
+        products = state.weights.astype(np.float32)[:, None] * state.cols[:k]
+        assert not np.any((products > 0.0) & (products < tiny))
 
     @pytest.mark.parametrize("variant", [FwVariant.FW, FwVariant.FW_LS])
     def test_in_place_pool_cross_matches_recomputation(self, variant):
@@ -239,7 +309,7 @@ class TestColumnBuffer:
         p = random_mixture(rng)
         k = KernelConfig(0.8, 2)
         pool, _ = p.sample(200, rng)
-        state, _ = self.run_checked(p, k, pool, iters=15, variant=variant)
+        state, _, _ = self.run_checked(p, k, pool, iters=15, variant=variant)
         assert state.cols is None
 
     @pytest.mark.parametrize("variant", [FwVariant.FW, FwVariant.FW_LS])
@@ -248,7 +318,7 @@ class TestColumnBuffer:
         # atom, FW-LS re-weights the chosen one (the `known` branch)
         p = std_normal_1d()
         pool = np.linspace(-2.0, 2.0, 5)[:, None]
-        _, known_steps = self.run_checked(p, UNIT_1D, pool, iters=8, variant=variant)
+        _, known_steps, _ = self.run_checked(p, UNIT_1D, pool, iters=8, variant=variant)
         assert known_steps >= 2
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -281,6 +351,9 @@ class TestColumnBuffer:
         assert fw_state.cols is None
         assert ls_state.cols is None
         assert fc_state.cols.shape == (6, 300)
+        # half-width columns: 4 n M bytes
+        assert fc_state.cols.dtype == np.float32
+        assert fc_state.cols.nbytes == 4 * 6 * 300
 
     def test_fcfw_without_buffer_rejected(self):
         state = QuadratureState(std_normal_1d(), UNIT_1D, np.linspace(-1, 1, 5)[:, None], 1)
