@@ -272,18 +272,18 @@ def pf_step(
 class FilterTrace:
     """Per-timestep record of one filter run.
 
-    log_evidence is the running sum of the per-step log evidence
-    increments and w_hats their exp, which may underflow to 0; fw_errors
-    and effective_n describe the sampling step that produced each
-    predictive set. The particle sets are kept only when the run was asked
-    to retain them.
+    log_w_hats are the per-step log evidence increments and log_evidence
+    their running sum, both kept in log space, where an increment below
+    about -745 stays finite; fw_errors and effective_n describe the
+    sampling step that produced each predictive set. The particle sets are
+    kept only when the run was asked to retain them.
     """
 
     method: str
     n: int
     seed: int
     filtered_means: np.ndarray  # (T, d), means under the posterior sets
-    w_hats: np.ndarray  # (T,)
+    log_w_hats: np.ndarray  # (T,)
     log_evidence: np.ndarray  # (T,)
     fw_errors: np.ndarray  # (T,), zero for non-herding samplers
     effective_n: np.ndarray  # (T,) atoms in each predictive set
@@ -334,7 +334,7 @@ def _run(weigh, step, init: TransitionMixture, y, sampler, n, k, seed, keep_part
         n=n,
         seed=seed,
         filtered_means=filtered_means,
-        w_hats=np.exp(log_incs),
+        log_w_hats=log_incs,
         log_evidence=np.cumsum(log_incs),
         fw_errors=fw_errors,
         effective_n=effective_n,

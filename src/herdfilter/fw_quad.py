@@ -67,7 +67,6 @@ __all__ = [
     "fw_quad",
     "fw_vertex_search",
     "simplex_qp_solve",
-    "simplex_qp_kkt_residual",
 ]
 
 _DENOM_FLOOR = 1e-14
@@ -336,6 +335,7 @@ class QpConvergenceError(NumericalError):
 
 
 def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
+    """Max of gradient spread on the support and complementarity violation."""
     support = w > _ACTIVE_EPS
     if not support.any():
         return np.inf
@@ -345,11 +345,6 @@ def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
     inactive = ~support
     viol = float(np.maximum(lam - grad[inactive], 0.0).max()) if inactive.any() else 0.0
     return max(spread, viol)
-
-
-def simplex_qp_kkt_residual(gram: np.ndarray, linear: np.ndarray, w: np.ndarray) -> float:
-    """Max of gradient spread on the support and complementarity violation."""
-    return _kkt_residual(2.0 * (gram @ w - linear), w)
 
 
 def _support_minimizer(linear: np.ndarray, factor: SupportFactor) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Every model exposes the same batch surface: an initial Gaussian mixture,
 the transition of a whole particle batch as per-particle Gaussian mixture
-components over the next state (``transition_parts``), and the log
-observation density at every particle of a batch (``log_likelihood_batch``).
+components over the next state (``transition_parts``), the log observation
+density at every particle of a batch (``log_likelihood_batch``), and one
+observation drawn at every particle of a batch (``sample_observation_batch``,
+which only ``simulate`` calls). A single point is a one-row batch.
 Markov-switching models carry their discrete mode as particle metadata; the
 continuous state is all the kernels ever see.
 """
@@ -64,7 +66,7 @@ class StateSpaceModel:
     initial: GaussianMixture
     transition_parts: Callable  # ((N,d) points, t, modes) -> TransitionParts
     log_likelihood_batch: Callable  # ((N,d) points, y, t, modes) -> (N,)
-    sample_observation: Callable  # (x, t, rng, mode=None) -> (dim_y,)
+    sample_observation_batch: Callable  # ((N,d) points, t, rng, modes) -> (N, dim_y)
     n_modes: int = 0
     initial_mode_probs: np.ndarray | None = None
 
@@ -146,7 +148,7 @@ def lgss_model(params: LgssParams) -> StateSpaceModel:
     c = np.asarray(params.obs_mat, dtype=float)
     q = np.asarray(params.process_cov, dtype=float)
     r = np.asarray(params.obs_cov, dtype=float)
-    d, m = a.shape[0], c.shape[0]
+    m = c.shape[0]
     r_chol = safe_cholesky(r)
     r_singular = not np.all(np.diag(r_chol) > 0.0)
     cov_blocks = q[None]
@@ -168,12 +170,12 @@ def lgss_model(params: LgssParams) -> StateSpaceModel:
             return np.where(hit, 0.0, -np.inf)
         return _gauss_logpdf(resid, r_chol)
 
-    def sample_observation(x, t, rng, mode=None):
-        x = np.asarray(x, dtype=float).reshape(d)
-        return c @ x + r_chol @ rng.standard_normal(m)
+    def sample_observation_batch(points, t, rng, modes=None):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return pts @ c.T + rng.standard_normal((pts.shape[0], m)) @ r_chol.T
 
     return StateSpaceModel(
-        dim_x=d,
+        dim_x=a.shape[0],
         dim_y=m,
         initial=GaussianMixture(
             [1.0], np.asarray(params.init_mean, dtype=float)[None],
@@ -181,7 +183,7 @@ def lgss_model(params: LgssParams) -> StateSpaceModel:
         ),
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
-        sample_observation=sample_observation,
+        sample_observation_batch=sample_observation_batch,
     )
 
 
@@ -261,7 +263,7 @@ def jmls_model(params: JmlsParams) -> StateSpaceModel:
     obs_chols = np.stack([safe_cholesky(g[k] @ g[k].T) for k in range(n_modes)])
 
     def _require_modes(modes):
-        if modes is None or any(v is None for v in np.atleast_1d(modes)):
+        if modes is None:
             raise ValueError("mode metadata is required for a switching model")
         return np.asarray(modes, dtype=np.intp)
 
@@ -284,10 +286,11 @@ def jmls_model(params: JmlsParams) -> StateSpaceModel:
             out[sel] = _gauss_logpdf(resid, obs_chols[k])
         return out
 
-    def sample_observation(x, t, rng, mode=None):
-        k = int(_require_modes([mode])[0])
-        x = np.asarray(x, dtype=float).reshape(d)
-        return c[k] @ x + obs_chols[k] @ rng.standard_normal(m)
+    def sample_observation_batch(points, t, rng, modes=None):
+        modes = _require_modes(modes)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        noise = rng.standard_normal((pts.shape[0], m))[:, :, None]
+        return (c[modes] @ pts[:, :, None] + obs_chols[modes] @ noise)[:, :, 0]
 
     return StateSpaceModel(
         dim_x=d,
@@ -298,7 +301,7 @@ def jmls_model(params: JmlsParams) -> StateSpaceModel:
         ),
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
-        sample_observation=sample_observation,
+        sample_observation_batch=sample_observation_batch,
         n_modes=n_modes,
         initial_mode_probs=np.asarray(params.initial_mode_probs, dtype=float),
     )
@@ -362,9 +365,9 @@ def make_nonlinear_benchmark() -> StateSpaceModel:
         resid = float(np.reshape(y, ())) - 0.05 * pts[:, 0] ** 2
         return -0.5 * (np.log(2.0 * np.pi) + resid * resid)
 
-    def sample_observation(x, t, rng, mode=None):
-        val = 0.05 * float(np.reshape(x, ())) ** 2
-        return np.array([val + rng.standard_normal()])
+    def sample_observation_batch(points, t, rng, modes=None):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return (0.05 * pts[:, 0] ** 2 + rng.standard_normal(pts.shape[0]))[:, None]
 
     return StateSpaceModel(
         dim_x=1,
@@ -372,7 +375,7 @@ def make_nonlinear_benchmark() -> StateSpaceModel:
         initial=GaussianMixture([1.0], [[0.0]], [[[1.0]]]),
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
-        sample_observation=sample_observation,
+        sample_observation_batch=sample_observation_batch,
     )
 
 
@@ -414,9 +417,9 @@ def clgss_model(params: ClgssParams) -> StateSpaceModel:
             -0.5 * (np.log(2.0 * np.pi * params.obs_var) + resid * resid / params.obs_var)
         )
 
-    def sample_observation(x, t, rng, mode=None):
-        row = np.asarray(x, dtype=float).reshape(1, d)
-        return _obs_mean(row) + sqrt_r * rng.standard_normal()
+    def sample_observation_batch(points, t, rng, modes=None):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return (_obs_mean(pts) + sqrt_r * rng.standard_normal(pts.shape[0]))[:, None]
 
     init_mean = np.concatenate([[params.init_x_mean], params.init_z_mean])
     init_cov = block_diag(np.array([[params.init_x_var]]), params.init_z_cov)
@@ -426,7 +429,7 @@ def clgss_model(params: ClgssParams) -> StateSpaceModel:
         initial=GaussianMixture([1.0], init_mean[None], init_cov[None]),
         transition_parts=transition_parts,
         log_likelihood_batch=log_likelihood_batch,
-        sample_observation=sample_observation,
+        sample_observation_batch=sample_observation_batch,
     )
 
 
@@ -494,10 +497,6 @@ def make_clgss(seed, coupled: bool = True):
 # Simulation
 
 
-def _draw_categorical(rng, probs: np.ndarray) -> int:
-    return int(_inverse_cdf(probs, rng.random()))
-
-
 def simulate(model: StateSpaceModel, T: int, seed) -> Trajectory:
     """Ancestral draw of (x_{1:T}, y_{1:T}); bit-identical under one seed."""
     if T < 1:
@@ -508,25 +507,23 @@ def simulate(model: StateSpaceModel, T: int, seed) -> Trajectory:
     has_modes = model.n_modes > 0
     modes = np.empty(T, dtype=np.intp) if has_modes else None
 
+    # x and mode are one-row batches: (1, dim_x) and (1,)
     x, _ = model.initial.sample(1, rng)
-    x = x[0]
-    mode = _draw_categorical(rng, model.initial_mode_probs) if has_modes else None
+    mode = _inverse_cdf(model.initial_mode_probs, rng.random(1)) if has_modes else None
     chol_cache: dict[int, np.ndarray] = {}
     for t in range(1, T + 1):
-        states[t - 1] = x
+        states[t - 1] = x[0]
         if has_modes:
-            modes[t - 1] = mode
-        obs[t - 1] = model.sample_observation(x, t, rng, mode=mode)
+            modes[t - 1] = mode[0]
+        obs[t - 1] = model.sample_observation_batch(x, t, rng, mode)[0]
         if t == T:
             break
-        parts = model.transition_parts(
-            x[None, :], t, None if mode is None else np.array([mode])
-        )
-        comp = _draw_categorical(rng, parts.comp_weights[0])
+        parts = model.transition_parts(x, t, mode)
+        comp = int(_inverse_cdf(parts.comp_weights[0], rng.random()))
         bi = int(parts.cov_index[comp])
         if bi not in chol_cache:
             chol_cache[bi] = safe_cholesky(parts.cov_blocks[bi])
-        x = parts.means[0, comp] + chol_cache[bi] @ rng.standard_normal(model.dim_x)
+        x = parts.means[0, comp:comp + 1] + chol_cache[bi] @ rng.standard_normal(model.dim_x)
         if parts.new_modes is not None:
-            mode = int(parts.new_modes[comp])
+            mode = parts.new_modes[comp:comp + 1]
     return Trajectory(states, obs, modes)

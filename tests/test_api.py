@@ -65,3 +65,28 @@ def test_bench_tracer_patches_and_restores(monkeypatch):
     assert patched
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_bench_tracer_wraps_model_callables(monkeypatch):
+    # bench/layers.py rebuilds StateSpaceModel and ClgssParams by field name:
+    # a renamed field breaks `bench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    layers = importlib.import_module("layers")
+    tracer = layers.Tracer()
+    lgss = tracer.wrap_model(herdfilter.make_lgss(0, d=2, m=1)[0])
+    params, joint = tracer.wrap_clgss(herdfilter.make_clgss(0, coupled=False)[1])
+    lgss.transition_parts(np.zeros((3, 2)), 1)
+    lgss.log_likelihood_batch(np.zeros((3, 2)), [0.0], 1)
+    x = np.zeros(4)
+    params.drift(x, 1)
+    params.lin_trans(x)
+    params.lin_obs(x)
+    params.obs_offset(x)
+    joint.transition_parts(np.zeros((4, 3)), 1)  # drift and lin_trans
+    joint.log_likelihood_batch(np.zeros((4, 3)), [0.0], 1)  # lin_obs and obs_offset
+    stats = tracer.take()
+    assert stats["models.transition_parts.calls"] == 2
+    assert stats["models.transition_parts.points"] == 7
+    assert stats["models.log_likelihood_batch.calls"] == 2
+    assert stats["models.log_likelihood_batch.points"] == 7
+    assert stats["models.clgss_callable.calls"] == 8

@@ -161,6 +161,10 @@ class TestBuildTransitionMixture:
         want = np.log(0.5) + log_o[1] + np.log1p(np.exp(log_o[0] - log_o[1]))
         assert tm.log_w_hat == pytest.approx(want, rel=1e-15)
         assert np.exp(tm.log_w_hat) == 0.0
+        # the trace keeps the increment in log space, where exp would read 0
+        tr = run_filter(model, [[1e6]], MC_STRATIFIED, 10, K1, seed=0)
+        assert np.isfinite(tr.log_w_hats[0]) and tr.log_w_hats[0] < -745.0
+        np.testing.assert_array_equal(tr.log_evidence, tr.log_w_hats)
 
 
 def _spread_mixture():
@@ -391,7 +395,7 @@ class TestRunFilter:
             )
             assert tr.filtered_means[0, 0] == pytest.approx(2.0)
             want = model.log_likelihood_batch(np.array([[2.0]]), [1.9], 1)[0]
-            assert np.log(tr.w_hats[0]) == pytest.approx(want, abs=1e-12)
+            assert tr.log_w_hats[0] == pytest.approx(want, abs=1e-12)
 
     def test_posterior_reweighting_matches_template(self):
         model, _ = make_lgss(6, d=2, m=1)
@@ -401,13 +405,11 @@ class TestRunFilter:
             pred = tr.predictive[t - 1]
             log_o = model.log_likelihood_batch(pred.points, traj.observations[t - 1], t)
             un = pred.weights * np.exp(log_o)
-            np.testing.assert_allclose(tr.w_hats[t - 1], un.sum(), rtol=1e-12)
+            np.testing.assert_allclose(np.exp(tr.log_w_hats[t - 1]), un.sum(), rtol=1e-12)
             np.testing.assert_allclose(
                 tr.posterior[t - 1].weights, un / un.sum(), rtol=1e-10
             )
-        np.testing.assert_allclose(
-            tr.log_evidence, np.cumsum(np.log(tr.w_hats)), rtol=1e-14
-        )
+        np.testing.assert_array_equal(tr.log_evidence, np.cumsum(tr.log_w_hats))
         np.testing.assert_array_equal(tr.fw_errors, np.zeros(6))
         np.testing.assert_array_equal(tr.effective_n, np.full(6, 50))
 
@@ -532,7 +534,7 @@ class TestRunFilter:
                           keep_particles=False)
         assert slim.predictive is None and slim.posterior is None
         np.testing.assert_array_equal(full.filtered_means, slim.filtered_means)
-        np.testing.assert_array_equal(full.w_hats, slim.w_hats)
+        np.testing.assert_array_equal(full.log_w_hats, slim.log_w_hats)
 
     def test_validation_errors(self):
         model, _ = make_lgss(6, d=2, m=1)
@@ -571,7 +573,7 @@ class TestLastStep:
             tr.predictive[-1], model, 5, traj.observations[-1]
         )
         np.testing.assert_array_equal(tr.posterior[-1].weights, last.posterior.weights)
-        assert tr.w_hats[-1] == np.exp(last.log_w_hat)
+        assert tr.log_w_hats[-1] == last.log_w_hat
 
     def test_rbpf_skips_last_time_update(self):
         cm, cp = make_clgss(0, coupled=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from herdfilter.kernels import GaussianMixture, safe_cholesky
 from herdfilter.models import (
     LgssParams,
     jmls_model,
@@ -151,7 +152,93 @@ class TestNonlinearBenchmark:
         assert got == pytest.approx(-0.5 * np.log(2.0 * np.pi), abs=1e-15)
 
 
+def _categorical(rng, probs):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return int(np.searchsorted(cum, rng.random(), side="right"))
+
+
+def scalar_simulate(T, seed, initial, mode_probs, observe, advance):
+    """simulate as a loop over one (d,) state and one int mode at a time.
+
+    observe(x, k, rng) draws y_t; advance(x, k, t, rng) draws (x_{t+1},
+    k_{t+1}). The draws are the same, in the same order, as simulate's.
+    """
+    rng = np.random.default_rng(seed)
+    x = initial.sample(1, rng)[0][0]
+    k = None if mode_probs is None else _categorical(rng, mode_probs)
+    states, obs, modes = [], [], []
+    for t in range(1, T + 1):
+        states.append(x)
+        obs.append(observe(x, k, rng))
+        modes.append(k)
+        if t < T:
+            x, k = advance(x, k, t, rng)
+    return np.array(states), np.array(obs), modes
+
+
+def lgss_reference(params, T, seed):
+    a, c = params.trans_mat, params.obs_mat
+    q_chol = safe_cholesky(params.process_cov)
+    r_chol = safe_cholesky(params.obs_cov)
+
+    def observe(x, k, rng):
+        return c @ x + r_chol @ rng.standard_normal(c.shape[0])
+
+    def advance(x, k, t, rng):
+        _categorical(rng, [1.0])  # the one transition component
+        return (x[None] @ a.T)[0] + q_chol @ rng.standard_normal(x.shape[0]), None
+
+    initial = GaussianMixture([1.0], params.init_mean[None], params.init_cov[None])
+    return scalar_simulate(T, seed, initial, None, observe, advance)
+
+
+def jmls_reference(params, T, seed):
+    a, f = params.mode_trans_mats, params.mode_process_factors
+    c, g = params.mode_obs_mats, params.mode_obs_factors
+
+    def observe(x, k, rng):
+        return c[k] @ x + safe_cholesky(g[k] @ g[k].T) @ rng.standard_normal(c.shape[1])
+
+    def advance(x, k, t, rng):
+        j = _categorical(rng, params.switch_probs[k])
+        mean = np.einsum("kij,nj->nki", a, x[None])[0, j]
+        return mean + safe_cholesky(f[j] @ f[j].T) @ rng.standard_normal(x.shape[0]), j
+
+    initial = GaussianMixture([1.0], params.init_mean[None], params.init_cov[None])
+    return scalar_simulate(T, seed, initial, params.initial_mode_probs, observe, advance)
+
+
+def nonlinear_reference(T, seed):
+    def observe(x, k, rng):
+        return np.array([0.05 * float(x[0]) ** 2 + rng.standard_normal()])
+
+    def advance(x, k, t, rng):
+        _categorical(rng, [1.0])
+        mean = 0.5 * x + 25.0 * x / (1.0 + x * x) + 8.0 * np.cos(1.2 * t)
+        return mean + rng.standard_normal(1), None
+
+    initial = GaussianMixture([1.0], [[0.0]], [[[1.0]]])
+    return scalar_simulate(T, seed, initial, None, observe, advance)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_reference(self, seed):
+        cases = []
+        for d, m in [(1, 1), (3, 1), (2, 2), (4, 3)]:
+            model, params = make_lgss(seed, d=d, m=m)
+            cases.append((model, lgss_reference(params, 50, seed + 10)))
+        model, params = make_jmls(seed)
+        cases.append((model, jmls_reference(params, 50, seed + 10)))
+        cases.append((make_nonlinear_benchmark(), nonlinear_reference(50, seed + 10)))
+        for model, (states, obs, modes) in cases:
+            traj = simulate(model, 50, seed + 10)
+            np.testing.assert_array_equal(traj.states, states)
+            np.testing.assert_array_equal(traj.observations, obs)
+            if model.n_modes:
+                np.testing.assert_array_equal(traj.modes, modes)
+
     def test_constant_trajectory(self):
         model = lgss_model(
             LgssParams(
@@ -229,3 +316,33 @@ class TestClgss:
         assert traj.states.shape == (30, 3)
         assert np.all(np.isfinite(traj.states))
         assert np.all(np.isfinite(traj.observations))
+
+
+BUILDERS = {
+    "lgss": lambda: make_lgss(3, d=3, m=2)[0],
+    "jmls": lambda: make_jmls(11)[0],
+    "nonlinear": make_nonlinear_benchmark,
+    "clgss": lambda: make_clgss(0, coupled=True)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_observation_draw_is_a_batch_of_one_row_draws(name):
+    model = BUILDERS[name]()
+    n = 7
+    pts = np.random.default_rng(3).standard_normal((n, model.dim_x))
+    modes = np.arange(n) % 2 if model.n_modes else None
+    batch = model.sample_observation_batch(pts, 4, np.random.default_rng(8), modes)
+    assert batch.shape == (n, model.dim_y)
+    rng = np.random.default_rng(8)
+    rows = [
+        model.sample_observation_batch(
+            pts[i:i + 1], 4, rng, None if modes is None else modes[i:i + 1]
+        )
+        for i in range(n)
+    ]
+    assert all(row.shape == (1, model.dim_y) for row in rows)
+    np.testing.assert_allclose(np.concatenate(rows), batch, rtol=1e-12)
+    if model.n_modes:
+        with pytest.raises(ValueError):
+            model.sample_observation_batch(pts, 4, rng)
