@@ -6,14 +6,11 @@ class NumericalError(RuntimeError):
 
 
 class DegenerateFilterError(NumericalError):
-    """Every particle has zero weight (log weight -inf) at some timestep."""
+    """Every particle has log weight -inf at some timestep."""
 
-    def __init__(self, t: int, total: float):
+    def __init__(self, t: int):
         self.t = t
-        self.total = total
-        super().__init__(
-            f"degenerate filter at t={t}: total unnormalized weight {total!r}"
-        )
+        super().__init__(f"degenerate filter at t={t}: every log weight is -inf")
 
 
 class ConfigError(ValueError):

@@ -161,7 +161,7 @@ def _reweigh(particles: WeightedParticleSet, log_o, t: int):
     if np.isnan(top) or top == np.inf:
         raise NumericalError(f"non-finite log weight at t={t}")
     if top == -np.inf:
-        raise DegenerateFilterError(t, 0.0)
+        raise DegenerateFilterError(t)
     unnorm = np.exp(log_w - top)
     total = float(unnorm.sum())
     post_w = unnorm / total
@@ -289,10 +289,6 @@ class FilterTrace:
     effective_n: np.ndarray  # (T,) atoms in each predictive set
     predictive: list[WeightedParticleSet] | None = None
     posterior: list[WeightedParticleSet] | None = None
-
-    @property
-    def T(self) -> int:
-        return self.filtered_means.shape[0]
 
 
 def _run(weigh, step, init: TransitionMixture, y, sampler, n, k, seed, keep_particles):

@@ -151,7 +151,8 @@ class QuadratureState:
     the run's atom budget, and `idxs`, `weights`, `gram` and `mu_sel` are
     views of their leading k entries.
 
-    A corrective state (the fully corrective step) also keeps, as row i of
+    The state runs one step rule, `variant`, which _advance reads. An FCFW
+    state (the fully corrective step) also keeps, as row i of
     `cols`, the kernel column kappa(x_i, pool) of each chosen atom, rounded
     to float32 with entries under 2^-63 set to zero, in a row-major
     (capacity, M) float32 buffer, and in `factor` the
@@ -163,11 +164,12 @@ class QuadratureState:
     """
 
     def __init__(self, target: GaussianMixture, kernel: KernelConfig, pool,
-                 capacity: int, pool_components=None, corrective: bool = False):
+                 capacity: int, pool_components=None, variant: FwVariant = FwVariant.FW):
         if target.dim != kernel.dim:
             raise ValueError("target and kernel dimensions disagree")
         self.target = target
         self.kernel = kernel
+        self.variant = variant
         self.pool = np.ascontiguousarray(_as_points(pool, "pool"))
         if self.pool.shape[1] != kernel.dim:
             raise ValueError("pool dimension does not match the kernel")
@@ -185,6 +187,7 @@ class QuadratureState:
         self._w = np.zeros(capacity)
         self._gram = np.zeros((capacity, capacity))
         self._mu = np.zeros(capacity)
+        corrective = variant is FwVariant.FCFW
         self.cols = np.empty((capacity, m), dtype=np.float32) if corrective else None
         self.factor = SupportFactor(capacity) if corrective else None
         self.gg = 0.0   # <g, g>
@@ -363,10 +366,10 @@ def _support_minimizer(linear: np.ndarray, factor: SupportFactor) -> np.ndarray:
     return _trtrs(chol, p, lower=1, trans=1, overwrite_b=1)[0]
 
 
-def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
-                     w0=None, factor: SupportFactor | None = None
+def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, w0=None,
+                     factor: SupportFactor | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the simplex QP to a KKT residual of at most tol.
+    """Solve the simplex QP to a KKT residual of at most _QP_TOL.
 
     Wolfe's min-norm-point method (Math. Programming 1976) in weight form, a
     primal active-set method. Each round minimizes the objective on the
@@ -375,12 +378,12 @@ def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
     first weight reaches zero, and the atoms at zero leave the support.
     Otherwise the minimizer becomes the iterate, and the outside atom of most
     negative gradient joins the support, until none undercuts the support's
-    gradient by more than tol / 2. A warm start whose gradient spread on its
-    support is already at most tol / 2, as the previous step's solution is,
-    skips the first round's solve. No round raises the objective, so the
-    last iterate is the lowest found. Rounds are capped at 10 (k+1)^2; an
-    iterate whose KKT residual exceeds tol raises QpConvergenceError with it
-    attached.
+    gradient by more than _QP_TOL / 2. A warm start whose gradient spread on
+    its support is already at most _QP_TOL / 2, as the previous step's
+    solution is, skips the first round's solve. No round raises the
+    objective, so the last iterate is the lowest found. Rounds are capped at
+    10 (k+1)^2; an iterate whose KKT residual exceeds _QP_TOL raises
+    QpConvergenceError with it attached.
 
     gram is the (k, k) float Gram matrix of the chosen atoms, symmetric PSD,
     and linear their (k,) float mean-map values; neither is checked. w0 is an
@@ -411,7 +414,7 @@ def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
     if w0 is not None:
         grad = 2.0 * (gram @ w - linear)
         g_sup = grad[factor.atoms]
-        if g_sup.max() - g_sup.min() > 0.5 * tol:
+        if g_sup.max() - g_sup.min() > 0.5 * _QP_TOL:
             grad = None
     for _ in range(10 * (k + 1) ** 2):
         idx = factor.atoms
@@ -437,7 +440,7 @@ def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
             grad = 2.0 * (gram @ w - linear)
         violations = np.where(taken, -np.inf, grad[idx].min() - grad)
         j = int(np.argmax(violations))
-        if violations[j] <= 0.5 * tol:
+        if violations[j] <= 0.5 * _QP_TOL:
             break
         taken[j] = True
         if factor.append(j, gram[j], gram[j, j]):
@@ -445,7 +448,7 @@ def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
     if grad is None:
         grad = 2.0 * (gram @ w - linear)
     res = _kkt_residual(grad, w)
-    if res <= tol:
+    if res <= _QP_TOL:
         return w, grad
     raise QpConvergenceError(w, res)
 
@@ -454,8 +457,10 @@ def simplex_qp_solve(gram: np.ndarray, linear: np.ndarray, tol: float = _QP_TOL,
 # Main loop
 
 
-def _advance(state: QuadratureState, variant: FwVariant) -> bool:
-    """One iteration of Algorithm 1; returns False once no progress is possible."""
+def _advance(state: QuadratureState) -> bool:
+    """One iteration of Algorithm 1 under state.variant; returns False once
+    no progress is possible."""
+    variant = state.variant
     idx = fw_vertex_search(state)
     known = idx in state.idxs
     first = state.n_chosen == 0
@@ -464,8 +469,6 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
         col = state._column(idx)
 
     if variant is FwVariant.FCFW:
-        if state.cols is None:
-            raise ValueError("FCFW needs a state built with corrective=True")
         if not known:
             # a vertex the span guard refuses is treated as a known one
             known = not state._append_atom(idx, col)
@@ -474,8 +477,8 @@ def _advance(state: QuadratureState, variant: FwVariant) -> bool:
         f_old = np.inf if first else state.gg - 2.0 * state.gmu
         residual = None
         try:
-            w_new, grad = simplex_qp_solve(gram, linear, _QP_TOL,
-                                           None if first else state.weights, state.factor)
+            w_new, grad = simplex_qp_solve(gram, linear, None if first else state.weights,
+                                           state.factor)
         except QpConvergenceError as e:
             # the uncertified iterate is kept only if it lowers the objective
             w_new, residual = e.best, e.residual
@@ -573,10 +576,9 @@ def fw_quad(
     if m < n:
         raise ValueError(f"pool size {m} smaller than particle budget {n}")
     # each iteration appends at most one atom, so n always suffice
-    state = QuadratureState(p, k, pool, n, pool_components=comps,
-                            corrective=variant is FwVariant.FCFW)
+    state = QuadratureState(p, k, pool, n, pool_components=comps, variant=variant)
     for _ in range(n):
-        progressed = _advance(state, variant)
+        progressed = _advance(state)
         if objective_trace is not None:
             objective_trace.append(state.objective)
         if not progressed:

@@ -1,7 +1,8 @@
 """Config-driven experiment grids with CSV reporting.
 
 Three experiment kinds, all described by flat ``key = value`` config files
-with sections (see README for the full key list). Each runs one sweep over
+with sections (see README for the full key list; an omitted key takes its
+ExperimentConfig default). Each runs one sweep over
 sigma^2 x method x N x repeat, in that nesting order, as a pair of an
 estimate (the sampler or filter call, the only timed part) and a score (the
 metrics of one cell):
@@ -14,7 +15,8 @@ metrics of one cell):
   and (linear-Gaussian models only) the mean per-step MMD against the
   exact predictive marginal.
 * ``rbpf``   -- run the Rao-Blackwellized filter on the hierarchical model;
-  RMSE is measured on the linear-substate posterior means.
+  RMSE is measured on the linear-substate posterior means (uncoupled model:
+  against the Kalman filter on ``uncoupled_clgss_joint()``).
 
 Every emitted row carries the config hash, the repeat seed and an artifact
 version tag so result files are self-describing. The row and summary CSVs
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ConfigError, NumericalError
 from .exact import jmls_exact_filter, kalman_run
@@ -53,8 +54,6 @@ from .filters import (
 from .fw_quad import FwVariant, fw_quad
 from .kernels import GaussianMixture, KernelConfig, WeightedParticleSet, mmd
 from .models import (
-    ClgssParams,
-    LgssParams,
     StateSpaceModel,
     lgss_model,
     make_clgss,
@@ -62,13 +61,14 @@ from .models import (
     make_lgss,
     make_nonlinear_benchmark,
     simulate,
+    uncoupled_clgss_joint,
 )
 from .qmc import MAX_DIM, SobolStream, qmc_sample_mixture
 
 ARTIFACT_VERSION = "herdfilter-0.1.0"
 
-# Desk-scale defaults; --paper-scale sets m/batches/t to _PAPER even over the config.
-_DESK = {"m": 20_000, "batches": 10, "t": 50}
+# --paper-scale sets m/batches/t to these even over the config file; the
+# desk-scale defaults are those of ExperimentConfig.
 _PAPER = {"m": 50_000, "batches": 30, "t": 100}
 
 _FW_BY_NAME = {v.name.lower(): v for v in FwVariant}
@@ -87,17 +87,17 @@ _REFERENCE_SEED_BASE = 900_000  # keeps reference streams clear of batch seeds
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment description (defaults already applied)."""
+    """Experiment description with desk-scale defaults, validated when built."""
 
     kind: str
-    out: str | None
-    samplers: tuple[str, ...]
-    sigma2s: tuple[float, ...]
-    n_grid: tuple[int, ...]
-    m: int
-    seeds: int
-    batches: int
-    t: int
+    out: str | None = None
+    samplers: tuple[str, ...] = ()
+    sigma2s: tuple[float, ...] = (1.0,)
+    n_grid: tuple[int, ...] = ()
+    m: int = 20_000
+    seeds: int = 5
+    batches: int = 10
+    t: int = 50
     mixture_dim: int = 2
     mixture_components: int = 100
     mixture_seed: int = 0
@@ -109,6 +109,9 @@ class ExperimentConfig:
     coupled: bool = True
     traj_seed: int = 1000
 
+    def __post_init__(self):
+        _validate(self)
+
     @property
     def config_hash(self) -> str:
         # the output path does not influence results, so it stays out
@@ -118,9 +121,6 @@ class ExperimentConfig:
             if f.name != "out"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-_REQUIRED = object()
 
 
 def _tokens(raw: str) -> list[str]:
@@ -146,14 +146,37 @@ def _bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _cfg_get(cp, section, key, conv=str, default=_REQUIRED):
+# Field -> (section, key, parser, required) for every field but kind, in the
+# order load_config reads them, which fixes the first error a bad file reports.
+_KEYS = {
+    "samplers": ("methods", "samplers", _str_list, True),
+    "sigma2s": ("methods", "sigma2", _float_list, False),
+    "n_grid": ("grid", "n", _int_list, True),
+    "m": ("grid", "m", int, False),
+    "seeds": ("grid", "seeds", int, False),
+    "batches": ("grid", "batches", int, False),
+    "t": ("grid", "t", int, False),
+    "out": ("experiment", "out", str, False),
+    "mixture_dim": ("mixture", "dim", int, False),
+    "mixture_components": ("mixture", "components", int, False),
+    "mixture_seed": ("mixture", "seed", int, False),
+    "model_kind": ("model", "kind", str, False),
+    "model_dim": ("model", "dim", int, False),
+    "model_obs_dim": ("model", "obs_dim", int, False),
+    "model_seed": ("model", "seed", int, False),
+    "model_noise": ("model", "noise", str, False),
+    "coupled": ("model", "coupled", _bool, False),
+    "traj_seed": ("model", "traj_seed", int, False),
+}
+
+
+def _cfg_get(cp, section, key, parse=str):
+    """The parsed value of [section] key; ConfigError if it is missing or bad."""
     if not cp.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in section [{section}]")
-        return default
+        raise ConfigError(f"missing key {key!r} in section [{section}]")
     raw = cp.get(section, key)
     try:
-        return conv(raw)
+        return parse(raw)
     except ValueError as e:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({e})") from e
 
@@ -161,8 +184,9 @@ def _cfg_get(cp, section, key, conv=str, default=_REQUIRED):
 def load_config(path, paper_scale: bool = False) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
-    Raises ConfigError with the parser's line diagnostics on syntax
-    problems and with section/key names on semantic ones.
+    Keys the file omits take the ExperimentConfig defaults. Raises
+    ConfigError with the parser's line diagnostics on syntax problems and
+    with section/key names on semantic ones.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -175,45 +199,24 @@ def load_config(path, paper_scale: bool = False) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {e}") from e
 
     kind = _cfg_get(cp, "experiment", "kind")
+    _check_kind(kind)
+    values = {
+        name: _cfg_get(cp, section, key, parse)
+        for name, (section, key, parse, required) in _KEYS.items()
+        if required or cp.has_option(section, key)
+    }
+    if paper_scale:
+        values.update(_PAPER)
+    return ExperimentConfig(kind, **values)
+
+
+def _check_kind(kind: str) -> None:
     if kind not in ("quad", "filter", "rbpf"):
         raise ConfigError(f"unknown experiment kind {kind!r} (quad, filter or rbpf)")
 
-    samplers = _cfg_get(cp, "methods", "samplers", _str_list)
-    sigma2s = _cfg_get(cp, "methods", "sigma2", _float_list, default=(1.0,))
-    n_grid = _cfg_get(cp, "grid", "n", _int_list)
-    m = _cfg_get(cp, "grid", "m", int, default=_DESK["m"])
-    seeds = _cfg_get(cp, "grid", "seeds", int, default=5)
-    batches = _cfg_get(cp, "grid", "batches", int, default=_DESK["batches"])
-    t = _cfg_get(cp, "grid", "t", int, default=_DESK["t"])
-    if paper_scale:
-        m, batches, t = _PAPER["m"], _PAPER["batches"], _PAPER["t"]
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        out=_cfg_get(cp, "experiment", "out", default=None),
-        samplers=samplers,
-        sigma2s=sigma2s,
-        n_grid=n_grid,
-        m=m,
-        seeds=seeds,
-        batches=batches,
-        t=t,
-        mixture_dim=_cfg_get(cp, "mixture", "dim", int, default=2),
-        mixture_components=_cfg_get(cp, "mixture", "components", int, default=100),
-        mixture_seed=_cfg_get(cp, "mixture", "seed", int, default=0),
-        model_kind=_cfg_get(cp, "model", "kind", default="lgss"),
-        model_dim=_cfg_get(cp, "model", "dim", int, default=3),
-        model_obs_dim=_cfg_get(cp, "model", "obs_dim", int, default=1),
-        model_seed=_cfg_get(cp, "model", "seed", int, default=0),
-        model_noise=_cfg_get(cp, "model", "noise", default="model"),
-        coupled=_cfg_get(cp, "model", "coupled", _bool, default=True),
-        traj_seed=_cfg_get(cp, "model", "traj_seed", int, default=1000),
-    )
-    _validate(cfg)
-    return cfg
-
 
 def _validate(cfg: ExperimentConfig) -> None:
+    _check_kind(cfg.kind)
     if not cfg.samplers:
         raise ConfigError("[methods] samplers is empty")
     valid = _QUAD_METHODS if cfg.kind == "quad" else _FILTER_METHODS
@@ -540,44 +543,15 @@ def run_filter_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[Metri
 # Rao-Blackwellized experiment
 
 
-def _collapse_joint_params(params: ClgssParams) -> LgssParams:
-    """Exact joint linear-Gaussian view of an uncoupled hierarchical model.
-
-    Probes the callables at a few points to recover the (required) linear
-    coefficients and refuses anything that is not homogeneous linear.
-    """
-    probes = np.array([0.0, 1.0, 2.0])
-    d0, d1, d2 = params.drift(probes, 0)
-    o0, o1, o2 = params.obs_offset(probes)
-    slope, bend = d1 - d0, d2 - 2.0 * d1 + d0
-    o_slope, o_bend = o1 - o0, o2 - 2.0 * o1 + o0
-    if abs(d0) > 1e-12 or abs(bend) > 1e-9 or abs(o0) > 1e-12 or abs(o_bend) > 1e-9:
-        raise ConfigError(
-            "exact joint reference needs homogeneous linear drift and"
-            " observation offset; use a coupled=false model"
-        )
-    a_z, a_1 = params.lin_trans(probes[:2])
-    c_z, c_1 = params.lin_obs(probes[:2])
-    if not (np.allclose(a_1, a_z) and np.allclose(c_1, c_z)):
-        raise ConfigError("exact joint reference needs state-independent blocks")
-    return LgssParams(
-        trans_mat=block_diag(np.array([[slope]]), a_z),
-        obs_mat=np.hstack([np.array([[o_slope]]), c_z]),
-        process_cov=block_diag(np.array([[params.drift_var]]), params.lin_process_cov),
-        obs_cov=np.array([[params.obs_var]]),
-        init_mean=np.concatenate([[params.init_x_mean], params.init_z_mean]),
-        init_cov=block_diag(np.array([[params.init_x_var]]), params.init_z_cov),
-    )
-
-
 def run_rbpf_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricRow]:
     """Sweep for the Rao-Blackwellized filter on the hierarchical model.
 
     RMSE is computed on the linear-substate posterior means against the
-    joint Kalman filter (uncoupled model) or an averaged wide joint
-    particle filter (coupled model).
+    joint Kalman filter on uncoupled_clgss_joint() (uncoupled model) or an
+    averaged wide joint particle filter (coupled model).
     """
     joint_model, params = make_clgss(cfg.model_seed, coupled=cfg.coupled)
+    joint = None if cfg.coupled else uncoupled_clgss_joint()
     trajs = [
         simulate(joint_model, cfg.t, seed=cfg.traj_seed + b) for b in range(cfg.batches)
     ]
@@ -587,7 +561,7 @@ def run_rbpf_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[MetricR
         if cfg.coupled:
             means, logz = _averaged_pf_reference(joint_model, ys, b)
         else:
-            kt = kalman_run(_collapse_joint_params(params), ys)
+            kt = kalman_run(joint, ys)
             means, logz = kt.filt_means, float(kt.log_evidence[-1])
         refs.append((means[:, 1:], logz))  # joint state is (x, z); keep z
 

@@ -6,8 +6,10 @@ components over the next state (``transition_parts``), the log observation
 density at every particle of a batch (``log_likelihood_batch``), and one
 observation drawn at every particle of a batch (``sample_observation_batch``,
 which only ``simulate`` calls). A single point is a one-row batch.
-Markov-switching models carry their discrete mode as particle metadata; the
-continuous state is all the kernels ever see.
+Markov-switching models carry their discrete mode, in 0..n_modes-1, as
+particle metadata; the continuous state is all the kernels ever see. The
+uncoupled conditionally linear model is written once, as the joint LGSS
+``uncoupled_clgss_joint``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "make_jmls",
     "make_nonlinear_benchmark",
     "make_clgss",
+    "uncoupled_clgss_joint",
     "simulate",
 ]
 
@@ -265,7 +268,11 @@ def jmls_model(params: JmlsParams) -> StateSpaceModel:
     def _require_modes(modes):
         if modes is None:
             raise ValueError("mode metadata is required for a switching model")
-        return np.asarray(modes, dtype=np.intp)
+        modes = np.asarray(modes, dtype=np.intp)
+        # viewed unsigned a negative label is huge, so one max bounds both ends
+        if modes.size and modes.view(np.uintp).max() >= n_modes:
+            raise ValueError(f"mode labels must lie in 0..{n_modes - 1}")
+        return modes
 
     def transition_parts(points, t, modes=None):
         modes = _require_modes(modes)
@@ -450,12 +457,25 @@ def _coupled_lin_obs(x):
     return out
 
 
+def uncoupled_clgss_joint() -> LgssParams:
+    """The (x, z) LGSS that make_clgss(coupled=False) cuts its blocks from;
+    x has no noise. Its Kalman filter is the RBPF's exact reference."""
+    return LgssParams(
+        trans_mat=np.array([[0.9, 0.0, 0.0], [0.0, 0.7, 0.2], [0.0, 0.0, 0.6]]),
+        obs_mat=np.array([[0.3, 1.0, 0.5]]),
+        process_cov=np.diag([0.0, 0.1, 0.1]),
+        obs_cov=np.array([[0.1]]),
+        init_mean=np.array([1.0, 0.0, 0.0]),
+        init_cov=np.diag([0.0, 1.0, 1.0]),
+    )
+
+
 def make_clgss(seed, coupled: bool = True):
     """Small hierarchical test model: nonlinear scalar x over a linear 2-d z.
 
     coupled=False freezes every x-dependence to a constant, drops the x noise
-    and makes the drift linear, so the joint system collapses to an LGSS with
-    a deterministic x-part (the RBPF-vs-Kalman equivalence case).
+    and makes the drift linear: the joint system is uncoupled_clgss_joint()
+    (the RBPF-vs-Kalman equivalence case).
     """
     del seed  # the model is fixed; kept for interface parity with the makers
     if coupled:
@@ -475,20 +495,22 @@ def make_clgss(seed, coupled: bool = True):
             init_z_cov=np.eye(2),
         )
     else:
+        joint = uncoupled_clgss_joint()
+        a, c, q = joint.trans_mat, joint.obs_mat, joint.process_cov
         params = ClgssParams(
             coupled=False,
             dim_z=2,
-            drift=lambda x, t: 0.9 * x,
-            drift_var=0.0,
-            lin_trans=lambda x: _rows(x, [[0.7, 0.2], [0.0, 0.6]]),
-            lin_process_cov=0.1 * np.eye(2),
-            lin_obs=lambda x: _rows(x, [[1.0, 0.5]]),
-            obs_offset=lambda x: 0.3 * x,
-            obs_var=0.1,
-            init_x_mean=1.0,
-            init_x_var=0.0,
-            init_z_mean=np.zeros(2),
-            init_z_cov=np.eye(2),
+            drift=lambda x, t: a[0, 0] * x,
+            drift_var=float(q[0, 0]),
+            lin_trans=lambda x: _rows(x, a[1:, 1:]),
+            lin_process_cov=q[1:, 1:],
+            lin_obs=lambda x: _rows(x, c[:, 1:]),
+            obs_offset=lambda x: c[0, 0] * x,
+            obs_var=float(joint.obs_cov[0, 0]),
+            init_x_mean=float(joint.init_mean[0]),
+            init_x_var=float(joint.init_cov[0, 0]),
+            init_z_mean=joint.init_mean[1:],
+            init_z_cov=joint.init_cov[1:, 1:],
         )
     return clgss_model(params), params
 

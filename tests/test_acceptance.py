@@ -36,7 +36,7 @@ from herdfilter import (
 )
 from herdfilter.fw_quad import simplex_qp_solve
 from herdfilter.kernels import GaussianMixture
-from herdfilter.models import LgssParams, lgss_model
+from herdfilter.models import LgssParams, lgss_model, uncoupled_clgss_joint
 
 
 def report(num: int, detail: str) -> None:
@@ -279,7 +279,7 @@ def test_criterion_11_oracle_agreement():
     traj2 = simulate(joint_model, 20, seed=12)
     out = run_rbpf(cl, traj2.observations, MC_MULTINOMIAL, 40,
                    KernelConfig(1.0, 1), seed=0)
-    ref = kalman_run(H._collapse_joint_params(cl), traj2.observations)
+    ref = kalman_run(uncoupled_clgss_joint(), traj2.observations)
     z_means = np.array([gm.moments()[0] for gm in out.z_posteriors])
     rb_dev = float(np.abs(z_means - ref.filt_means[:, 1:]).max())
     rb_dev = max(rb_dev, float(

@@ -67,6 +67,16 @@ def test_bench_tracer_patches_and_restores(monkeypatch):
         assert owner.__dict__[attr] is original, attr
 
 
+def test_bench_workloads_build(monkeypatch):
+    # building a workload checks its inputs against bench/oracles.py, among
+    # them clgss_filter's hand-written joint matrices of the uncoupled model:
+    # a models change that breaks one fails here, not only in bench/run.py
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    for name, build in workloads.BUILDERS.items():
+        assert build(herdfilter, 0).ops, name
+
+
 def test_bench_tracer_wraps_model_callables(monkeypatch):
     # bench/layers.py rebuilds StateSpaceModel and ClgssParams by field name:
     # a renamed field breaks `bench/run.py --trace 1`

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from herdfilter import harness
 from herdfilter.errors import DegenerateFilterError
 from herdfilter.exact import jmls_exact_filter, kalman_run
 from herdfilter.filters import (
@@ -34,6 +33,7 @@ from herdfilter.models import (
     make_jmls,
     make_lgss,
     simulate,
+    uncoupled_clgss_joint,
 )
 from herdfilter.qmc import SobolStream, inverse_normal_cdf, qmc_sample_mixture
 
@@ -493,6 +493,7 @@ class TestRunFilter:
         with pytest.raises(DegenerateFilterError) as err:
             run_filter(model, ys, MC_MULTINOMIAL, 30, K1, seed=0)
         assert err.value.t == 3
+        assert "every log weight is -inf" in str(err.value)
 
     @pytest.mark.parametrize(
         "sampler", [MC_STRATIFIED, QMC_SOBOL, skh(FwVariant.FW, 2000)],
@@ -619,8 +620,9 @@ class TestRunRbpf:
         # marginal underflows exp(), the log evidence stays exact
         _, cp = make_clgss(0, coupled=False)
         cp = dataclasses.replace(cp, obs_var=1e-4)
+        joint = dataclasses.replace(uncoupled_clgss_joint(), obs_cov=np.array([[1e-4]]))
         ys = np.array([[0.5], [50.0], [0.2]])
-        ref = kalman_run(harness._collapse_joint_params(cp), ys)
+        ref = kalman_run(joint, ys)
         res = run_rbpf(cp, ys, MC_STRATIFIED, 20, K1, seed=0)
         assert ref.log_evidence[1] - ref.log_evidence[0] < -745.0
         np.testing.assert_allclose(res.trace.log_evidence, ref.log_evidence, atol=1e-8)

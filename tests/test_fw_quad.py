@@ -121,9 +121,9 @@ class TestVertexSearch:
             p = random_mixture(rng)
             k = KernelConfig(0.8, 2)
             pool, _ = p.sample(200, rng)
-            state = QuadratureState(p, k, pool, 6)
+            state = QuadratureState(p, k, pool, 6, variant=FwVariant.FW_LS)
             for _ in range(6):
-                _advance(state, FwVariant.FW_LS)
+                _advance(state)
             sel = state.pool[np.asarray(state.idxs)]
             scores = (
                 kernel_cross(pool, sel, k) @ state.weights
@@ -152,9 +152,9 @@ class TestLineSearch:
     def build_state(self, rng, iters=3):
         p = random_mixture(rng, dim=1, n_comp=3)
         pool, _ = p.sample(150, rng)
-        state = QuadratureState(p, UNIT_1D, pool, iters)
+        state = QuadratureState(p, UNIT_1D, pool, iters, variant=FwVariant.FW_LS)
         for _ in range(iters):
-            _advance(state, FwVariant.FW_LS)
+            _advance(state)
         return state
 
     def test_gamma_in_unit_interval(self):
@@ -167,8 +167,8 @@ class TestLineSearch:
     def test_zero_step_onto_current_iterate(self):
         p = std_normal_1d()
         pool = np.linspace(-2, 2, 21)[:, None]
-        state = QuadratureState(p, UNIT_1D, pool, 1)
-        _advance(state, FwVariant.FW_LS)
+        state = QuadratureState(p, UNIT_1D, pool, 1, variant=FwVariant.FW_LS)
+        _advance(state)
         v = state.pool[state.idxs[0]]
         assert line_search_toward(state, v) == 0.0
 
@@ -220,7 +220,7 @@ class TestColumnBuffer:
         minimum was not alone within twice the screen's bound.
         """
         fcfw = variant is FwVariant.FCFW
-        state = QuadratureState(p, k, pool, iters, corrective=fcfw)
+        state = QuadratureState(p, k, pool, iters, variant=variant)
         known_steps = tied_steps = 0
         for _ in range(iters):
             before = state.n_chosen
@@ -232,7 +232,7 @@ class TestColumnBuffer:
                 near = scores <= scores[idx] + 2.0 * _screen_bound(state)
                 tied_steps += bool(before) and np.count_nonzero(near) > 1
             known = idx in state.idxs
-            progressed = _advance(state, variant)
+            progressed = _advance(state)
             # FW keeps duplicates as separate atoms; the other rules re-weight
             appended = progressed and (variant is FwVariant.FW or not known)
             assert state.n_chosen == before + appended
@@ -355,11 +355,6 @@ class TestColumnBuffer:
         assert fc_state.cols.dtype == np.float32
         assert fc_state.cols.nbytes == 4 * 6 * 300
 
-    def test_fcfw_without_buffer_rejected(self):
-        state = QuadratureState(std_normal_1d(), UNIT_1D, np.linspace(-1, 1, 5)[:, None], 1)
-        with pytest.raises(ValueError):
-            _advance(state, FwVariant.FCFW)
-
     def test_non_finite_pool_named(self):
         # the column path trusts the pool, so the state must reject it up front
         pool = np.linspace(-1.0, 1.0, 5)[:, None]
@@ -380,9 +375,9 @@ class TestKeptFactor:
         p = random_mixture(rng, dim=3)
         k = KernelConfig(0.8, 3)
         pool, _ = p.sample(400, rng)
-        state = QuadratureState(p, k, pool, 30, corrective=True)
+        state = QuadratureState(p, k, pool, 30, variant=FwVariant.FCFW)
         for _ in range(30):
-            _advance(state, FwVariant.FCFW)
+            _advance(state)
             assert sorted(state.factor.atoms) == list(np.flatnonzero(state.weights > 0.0))
             assert_factors(state.factor, state.gram, atol=1e-12)
         assert state.n_chosen >= 20
@@ -425,9 +420,9 @@ class TestKeptFactor:
         monkeypatch.setattr(SupportFactor, "append", appending)
         p = sample_mixture_family(2, 100, seed=1)
         pool, _ = p.sample(20_000, np.random.default_rng([0, 200]))
-        state = QuadratureState(p, KernelConfig(1.0, 2), pool, 200, corrective=True)
+        state = QuadratureState(p, KernelConfig(1.0, 2), pool, 200, variant=FwVariant.FCFW)
         for _ in range(200):
-            assert _advance(state, FwVariant.FCFW)
+            assert _advance(state)
             assert sorted(state.factor.atoms) == list(np.flatnonzero(state.weights > 0.0))
             assert_factors(state.factor, state.gram, atol=1e-10)
         assert sum(interior) == 6
@@ -438,9 +433,9 @@ class TestKeptFactor:
         p = std_normal_1d()
         pool = np.linspace(-2.0, 2.0, 9)[:, None]
         pool[7] = pool[3]
-        state = QuadratureState(p, UNIT_1D, pool, 9, corrective=True)
+        state = QuadratureState(p, UNIT_1D, pool, 9, variant=FwVariant.FCFW)
         while 3 not in state.idxs:
-            assert _advance(state, FwVariant.FCFW)
+            assert _advance(state)
         assert 3 in state.factor.atoms
         factor = state.factor
         before = (state.n_chosen, state.gram.copy(), factor.size, factor.chol.copy())
@@ -454,14 +449,14 @@ class TestKeptFactor:
         p = std_normal_1d()
         pool = np.linspace(-2.0, 2.0, 9)[:, None]
         pool[7] = pool[3]
-        state = QuadratureState(p, UNIT_1D, pool, 9, corrective=True)
+        state = QuadratureState(p, UNIT_1D, pool, 9, variant=FwVariant.FCFW)
         while 3 not in state.idxs:
-            _advance(state, FwVariant.FCFW)
+            _advance(state)
         before = (state.n_chosen, state.weights.copy(), state.objective)
         monkeypatch.setattr(self.fwq, "fw_vertex_search", lambda state: 7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not _advance(state, FwVariant.FCFW)
+            assert not _advance(state)
         assert 7 not in state.idxs
         assert state.n_chosen == before[0]
         np.testing.assert_allclose(state.weights, before[1], rtol=0, atol=1e-15)
@@ -513,9 +508,9 @@ class TestQpFallback:
         p = random_mixture(rng)
         k = KernelConfig(0.8, 2)
         pool, _ = p.sample(300, rng)
-        state = QuadratureState(p, k, pool, steps + 1, corrective=True)
+        state = QuadratureState(p, k, pool, steps + 1, variant=FwVariant.FCFW)
         for _ in range(steps):
-            assert _advance(state, FwVariant.FCFW)
+            assert _advance(state)
         return state
 
     def test_lower_best_iterate_kept(self, monkeypatch):
@@ -523,14 +518,14 @@ class TestQpFallback:
         solve = simplex_qp_solve
         best = []
 
-        def stalled(gram, linear, tol, w0, factor):
-            best.append(solve(gram, linear, tol, w0, factor)[0])
+        def stalled(gram, linear, w0, factor):
+            best.append(solve(gram, linear, w0, factor)[0])
             raise QpConvergenceError(best[-1], 3.0e-7)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
         before = state.objective
         with pytest.warns(RuntimeWarning, match=self.WARNING) as rec:
-            assert _advance(state, FwVariant.FCFW)
+            assert _advance(state)
         assert len(rec) == 1
         assert "3.000e-07" in str(rec[0].message)
         assert "kept" in str(rec[0].message)
@@ -543,14 +538,14 @@ class TestQpFallback:
         before = state.objective
         worse = []
 
-        def stalled(gram, linear, tol, w0, factor):
+        def stalled(gram, linear, w0, factor):
             best = self.worst_vertex(linear)
             worse.append(_objective(gram, linear, best) > _objective(gram, linear, w0) + 1e-15)
             raise QpConvergenceError(best, 2.0e-6)
 
         monkeypatch.setattr(self.fwq, "simplex_qp_solve", stalled)
         with pytest.warns(RuntimeWarning, match=self.WARNING) as rec:
-            _advance(state, FwVariant.FCFW)
+            _advance(state)
         assert worse == [True]
         assert len(rec) == 1
         assert "rejected" in str(rec[0].message)
@@ -564,9 +559,9 @@ class TestQpFallback:
         solve = simplex_qp_solve
         calls = []
 
-        def stalled(gram, linear, tol, w0, factor):
+        def stalled(gram, linear, w0, factor):
             calls.append(None)
-            best = (solve(gram, linear, tol, w0, factor)[0] if len(calls) % 2
+            best = (solve(gram, linear, w0, factor)[0] if len(calls) % 2
                     else self.worst_vertex(linear))
             raise QpConvergenceError(best, 1.0e-8)
 

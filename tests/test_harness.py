@@ -1,5 +1,6 @@
 """Config loading, experiment runners, summaries, and the CLI."""
 
+import configparser
 import csv
 import dataclasses
 import re
@@ -28,7 +29,6 @@ from herdfilter.harness import (
     write_rows,
     write_summary,
 )
-from herdfilter.models import make_clgss
 
 
 def cfg_file(tmp_path, text, name="exp.ini"):
@@ -54,6 +54,34 @@ QUAD_INI = """\
     n = 10, 20
     m = 500
     seeds = 2
+    """
+
+
+FULL_INI = """\
+    [experiment]
+    kind = filter
+    out = results/full.csv
+    [mixture]
+    dim = 3
+    components = 7
+    seed = 4
+    [model]
+    kind = jmls
+    dim = 2
+    obs_dim = 1
+    seed = 3
+    noise = model
+    coupled = no
+    traj_seed = 77
+    [methods]
+    samplers = mc_stratified, skh_fw
+    sigma2 = 0.5, 2
+    [grid]
+    n = 10, 40
+    m = 400
+    seeds = 2
+    batches = 3
+    t = 8
     """
 
 
@@ -227,6 +255,41 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="zero"):
             load_config(cfg_file(tmp_path, text))
 
+    def test_config_hash_pinned(self, tmp_path):
+        # config_hash tags every CSV row, so the config code must not move it;
+        # FULL_INI sets every key, the minimal file only the required ones
+        minimal = """\
+            [experiment]
+            kind = filter
+            [methods]
+            samplers = mc_multinomial
+            [grid]
+            n = 10
+            """
+        assert load_config(cfg_file(tmp_path, minimal)).config_hash == "62d0a84c8dcfe0a2"
+        full = load_config(cfg_file(tmp_path, FULL_INI, name="full.ini"))
+        assert full.config_hash == "5bac15538d9ba95c"
+
+    def test_key_table_covers_every_field_but_kind(self):
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(harness._KEYS) == sorted(set(names) - {"kind"})
+        keys = [(section, key) for section, key, _, _ in harness._KEYS.values()]
+        # FULL_INI sets each key once, so it exercises the whole table
+        full = configparser.ConfigParser()
+        full.read_string(textwrap.dedent(FULL_INI))
+        written = [(section, key) for section in full.sections() for key in full[section]]
+        assert sorted(keys) == sorted(set(written) - {("experiment", "kind")})
+
+    def test_code_built_config_is_validated(self):
+        with pytest.raises(ConfigError, match=r"\[methods\] samplers is empty"):
+            ExperimentConfig(kind="quad")
+        with pytest.raises(ConfigError, match="unknown experiment kind"):
+            ExperimentConfig(kind="quux", samplers=("mc",), n_grid=(10,))
+        with pytest.raises(ConfigError, match="m = 20 is below the largest n = 50"):
+            quad_cfg(samplers=("mc", "fw"), n_grid=(10, 50), m=20)
+        with pytest.raises(ConfigError, match="m = 20 is below the largest n = 50"):
+            dataclasses.replace(quad_cfg(), n_grid=(10, 50), m=20)
+
     def test_hash_ignores_out_but_tracks_params(self):
         a = quad_cfg(out="a.csv")
         b = quad_cfg(out="b.csv")
@@ -395,11 +458,6 @@ class TestRbpfExperiment:
                          samplers=("mc_multinomial",), n_grid=(50,))
         rows = run_rbpf_experiment(cfg)
         assert all(np.isfinite(r.value) for r in rows)
-
-    def test_collapse_rejects_nonlinear_params(self):
-        _, params = make_clgss(0, coupled=True)
-        with pytest.raises(ConfigError):
-            harness._collapse_joint_params(params)
 
 
 def mk_row(value, metric="rmse", method="mc", n=10, seed=0, h="abc"):
@@ -612,7 +670,7 @@ class TestCli:
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, workers=1):
-            raise DegenerateFilterError(3, 0.0)
+            raise DegenerateFilterError(3)
 
         monkeypatch.setitem(cli._RUNNERS, "quad", boom)
         path = cfg_file(tmp_path, QUAD_CLI_INI.format(out=tmp_path / "x.csv"))

@@ -127,6 +127,23 @@ class TestJmls:
         with pytest.raises(ValueError):
             model.log_likelihood_batch(x[None], y, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, pts, modes: m.transition_parts(pts, 1, modes),
+            lambda m, pts, modes: m.log_likelihood_batch(pts, [0.1], 1, modes),
+            lambda m, pts, modes: m.sample_observation_batch(
+                pts, 1, np.random.default_rng(0), modes
+            ),
+        ],
+        ids=["transition_parts", "log_likelihood_batch", "sample_observation_batch"],
+    )
+    def test_mode_labels_out_of_range_rejected(self, call):
+        # label 2 is past the last mode and -1 would wrap round to it
+        model, _ = make_jmls(15)
+        with pytest.raises(ValueError, match=r"mode labels must lie in 0\.\.1"):
+            call(model, np.zeros((3, 2)), np.array([0, 2, -1]))
+
     def test_mode_eigenvalues_stable(self):
         _, params = make_jmls(15)
         for a in params.mode_trans_mats:
